@@ -255,7 +255,7 @@ class BenchJsonWriter {
   }
 
   /// The measurement fields every block-execution bench shares: modeled
-  /// costs, wall time, and the key QueryStats counters.
+  /// costs, wall time, and the QueryStats counters.
   void AddRunResult(const RunResult& r) {
     Int("num_queries", static_cast<int64_t>(r.num_queries));
     Num("io_ms_per_query", r.io_ms_per_query);
@@ -267,26 +267,11 @@ class BenchJsonWriter {
     AddQueryStats(r.stats);
   }
 
-  /// Key QueryStats counters of one run.
+  /// Every QueryStats counter of one run, keyed by its member name.
   void AddQueryStats(const QueryStats& stats) {
-    Int("dist_computations", static_cast<int64_t>(stats.dist_computations));
-    Int("matrix_dist_computations",
-        static_cast<int64_t>(stats.matrix_dist_computations));
-    Int("triangle_tries", static_cast<int64_t>(stats.triangle_tries));
-    Int("triangle_avoided", static_cast<int64_t>(stats.triangle_avoided));
-    Int("pivot_dist_computations",
-        static_cast<int64_t>(stats.pivot_dist_computations));
-    Int("pivot_tries", static_cast<int64_t>(stats.pivot_tries));
-    Int("pivot_avoided", static_cast<int64_t>(stats.pivot_avoided));
-    Int("kernel_batches", static_cast<int64_t>(stats.kernel_batches));
-    Int("kernel_batched_dists",
-        static_cast<int64_t>(stats.kernel_batched_dists));
-    Int("kernel_speculative_dists",
-        static_cast<int64_t>(stats.kernel_speculative_dists));
-    Int("random_page_reads", static_cast<int64_t>(stats.random_page_reads));
-    Int("seq_page_reads", static_cast<int64_t>(stats.seq_page_reads));
-    Int("buffer_hits", static_cast<int64_t>(stats.buffer_hits));
-    Int("queries_completed", static_cast<int64_t>(stats.queries_completed));
+    for (const QueryStatsCounter& c : kQueryStatsCounters) {
+      Int(c.name, static_cast<int64_t>(stats.*c.member));
+    }
   }
 
   /// Writes the array (idempotent; the destructor calls it too).

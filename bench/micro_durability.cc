@@ -10,7 +10,7 @@
 // L-record log is reopened; the run fails (exit non-zero) unless the
 // recovery replayed exactly L records and the recovered database answers
 // bit-identically to a fresh build of the same final object set — this is
-// what CI's durability-smoke job asserts against the committed baseline.
+// what the contract_durability test asserts against the committed baseline.
 
 #include <filesystem>
 

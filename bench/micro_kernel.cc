@@ -12,7 +12,7 @@
 // batched kernel vs. the scalar reference mode (use_batched_kernel=false,
 // the pre-kernel loop) on a seeded workload. Answer sets and the paper's
 // cost counters (dist_computations, triangle_avoided) must be identical;
-// the run exits non-zero otherwise, which is what CI's kernel-smoke job
+// the run exits non-zero otherwise, which is what the contract_kernel test
 // asserts.
 
 #include "bench/bench_common.h"

@@ -10,7 +10,7 @@
 // bit-identically to a database built directly from the final object set
 // — same ids, same distances, and the same dist_computations (the
 // compacted index is a fresh build, not a patched one). Any divergence
-// fails the run — this is what CI's mutate-smoke job asserts.
+// fails the run — this is what the contract_mutate test asserts.
 //
 // Wall-clock timings for the mutation path are printed for information
 // but never compared (only deterministic counters go to the JSON).

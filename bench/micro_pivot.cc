@@ -6,8 +6,8 @@
 // computations), batched and scalar pivot runs must agree exactly on
 // dist_computations and on the total avoided count, and the single-query
 // path (Figure 1, including the M-tree's hyper-ring cuts) must match its
-// own pivot-off oracle. Any violation fails the run — this is what CI's
-// pivot-smoke job asserts.
+// own pivot-off oracle. Any violation fails the run — this is what the
+// contract_pivot test asserts.
 //
 // Section 2 — reduction: dist_computations with pivots off vs. on over the
 // clustered Tycho-style astronomy workload. The layer's acceptance target —

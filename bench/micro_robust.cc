@@ -15,7 +15,7 @@
 // r >= 2 a single crash must leave the answers complete and bit-identical
 // (exit non-zero otherwise), with r = 1 exactly the crashed server's
 // partition must be reported missing, and after Restore() the cluster
-// must serve complete answers again. CI's failover-smoke job drives this
+// must serve complete answers again. The contract_failover test drives this
 // section through scripts/check_failover.py and diffs the JSON records
 // against the committed bench/BENCH_failover.json baseline.
 //

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Compares two BenchJsonWriter output files record by record.
+"""Compares BenchJsonWriter output with a committed baseline, record by record.
 
 Usage:
-  bench_compare.py BASELINE CURRENT [--threshold 0.10]
+  bench_compare.py BASELINE CURRENT [CURRENT ...] [--threshold 0.10]
       [--fields f1,f2,...] [--exact-fields g1,g2,...]
 
-Both files are JSON arrays of flat records (bench_common.h's
-BenchJsonWriter). Records are matched by their identity: every
-non-measurement string field plus any integer configuration field that is
-present in both files and named in neither --fields nor --exact-fields.
+All files are JSON arrays of flat records (bench_common.h's
+BenchJsonWriter); several CURRENT files are compared as one. Records are
+matched by their identity: every string or integer field that is present
+in both the baseline and the current records and named in neither
+--fields nor --exact-fields.
 
 For each matched record:
   --fields        numeric, lower-is-better measurements; a relative
@@ -40,11 +41,11 @@ def load_records(path):
     return data
 
 
-def record_key(record, measured):
-    """Identity of a record: every field that is not a measurement."""
+def record_key(record, identity):
+    """Identity of a record: its string and integer `identity` fields."""
     parts = []
     for k in sorted(record):
-        if k in measured:
+        if k not in identity:
             continue
         v = record[k]
         if isinstance(v, (str, int)) and not isinstance(v, bool):
@@ -55,7 +56,7 @@ def record_key(record, measured):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
-    ap.add_argument("current")
+    ap.add_argument("current", nargs="+")
     ap.add_argument("--threshold", type=float, default=0.10,
                     help="allowed relative regression on --fields")
     ap.add_argument("--fields", default="",
@@ -72,19 +73,20 @@ def main():
         return 2
     measured = set(fields) | set(exact)
 
-    baseline = {}
-    for r in load_records(args.baseline):
-        baseline[record_key(r, measured)] = r
-    current = {}
-    for r in load_records(args.current):
-        current[record_key(r, measured)] = r
+    base_records = load_records(args.baseline)
+    cur_records = [r for path in args.current for r in load_records(path)]
+    identity = ({k for r in base_records for k in r} &
+                {k for r in cur_records for k in r}) - measured
+    baseline = {record_key(r, identity): r for r in base_records}
+    current = {record_key(r, identity): r for r in cur_records}
+    current_name = " ".join(args.current)
 
     failures = 0
     for key, base in sorted(baseline.items()):
         label = " ".join(f"{k}={v}" for k, v in key)
         cur = current.get(key)
         if cur is None:
-            print(f"FAIL [{label}]: record missing from {args.current}")
+            print(f"FAIL [{label}]: record missing from {current_name}")
             failures += 1
             continue
         for f in exact:
@@ -100,7 +102,7 @@ def main():
             b, c = base[f], cur.get(f)
             if not isinstance(c, (int, float)) or isinstance(c, bool):
                 print(f"FAIL [{label}] {f}: missing or non-numeric in "
-                      f"{args.current}")
+                      f"{current_name}")
                 failures += 1
                 continue
             if b <= 0:

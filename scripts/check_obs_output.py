@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validates the observability artifacts the CI smoke job produces.
+"""Validates the observability artifacts the obs and load contracts produce.
 
 Checks three kinds of files:
   --prometheus FILE   Prometheus text exposition: every sample line must

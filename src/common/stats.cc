@@ -23,78 +23,33 @@ double QueryStats::TotalMillis(const CostModel& model, size_t dim) const {
 }
 
 QueryStats& QueryStats::operator+=(const QueryStats& other) {
-  dist_computations += other.dist_computations;
-  matrix_dist_computations += other.matrix_dist_computations;
-  triangle_tries += other.triangle_tries;
-  triangle_avoided += other.triangle_avoided;
-  pivot_dist_computations += other.pivot_dist_computations;
-  pivot_tries += other.pivot_tries;
-  pivot_avoided += other.pivot_avoided;
-  kernel_batches += other.kernel_batches;
-  kernel_batched_dists += other.kernel_batched_dists;
-  kernel_speculative_dists += other.kernel_speculative_dists;
-  random_page_reads += other.random_page_reads;
-  seq_page_reads += other.seq_page_reads;
-  buffer_hits += other.buffer_hits;
-  pages_skipped_buffered += other.pages_skipped_buffered;
-  queries_completed += other.queries_completed;
-  answers_produced += other.answers_produced;
-  attr_window_micros += other.attr_window_micros;
-  attr_matrix_micros += other.attr_matrix_micros;
-  attr_page_io_micros += other.attr_page_io_micros;
-  attr_kernel_micros += other.attr_kernel_micros;
-  attr_lock_wait_micros += other.attr_lock_wait_micros;
-  attr_retry_micros += other.attr_retry_micros;
-  attr_merge_micros += other.attr_merge_micros;
+  for (const QueryStatsCounter& c : kQueryStatsCounters) {
+    this->*c.member += other.*c.member;
+  }
+  for (const QueryStatsWallTime& w : kQueryStatsWallTimes) {
+    this->*w.member += other.*w.member;
+  }
   return *this;
 }
 
 QueryStats QueryStats::operator-(const QueryStats& other) const {
-  QueryStats d;
-  d.dist_computations = dist_computations - other.dist_computations;
-  d.matrix_dist_computations =
-      matrix_dist_computations - other.matrix_dist_computations;
-  d.triangle_tries = triangle_tries - other.triangle_tries;
-  d.triangle_avoided = triangle_avoided - other.triangle_avoided;
-  d.pivot_dist_computations =
-      pivot_dist_computations - other.pivot_dist_computations;
-  d.pivot_tries = pivot_tries - other.pivot_tries;
-  d.pivot_avoided = pivot_avoided - other.pivot_avoided;
-  d.kernel_batches = kernel_batches - other.kernel_batches;
-  d.kernel_batched_dists = kernel_batched_dists - other.kernel_batched_dists;
-  d.kernel_speculative_dists =
-      kernel_speculative_dists - other.kernel_speculative_dists;
-  d.random_page_reads = random_page_reads - other.random_page_reads;
-  d.seq_page_reads = seq_page_reads - other.seq_page_reads;
-  d.buffer_hits = buffer_hits - other.buffer_hits;
-  d.pages_skipped_buffered =
-      pages_skipped_buffered - other.pages_skipped_buffered;
-  d.queries_completed = queries_completed - other.queries_completed;
-  d.answers_produced = answers_produced - other.answers_produced;
-  d.attr_window_micros = attr_window_micros - other.attr_window_micros;
-  d.attr_matrix_micros = attr_matrix_micros - other.attr_matrix_micros;
-  d.attr_page_io_micros = attr_page_io_micros - other.attr_page_io_micros;
-  d.attr_kernel_micros = attr_kernel_micros - other.attr_kernel_micros;
-  d.attr_lock_wait_micros = attr_lock_wait_micros - other.attr_lock_wait_micros;
-  d.attr_retry_micros = attr_retry_micros - other.attr_retry_micros;
-  d.attr_merge_micros = attr_merge_micros - other.attr_merge_micros;
+  QueryStats d = *this;
+  for (const QueryStatsCounter& c : kQueryStatsCounters) {
+    d.*c.member -= other.*c.member;
+  }
+  for (const QueryStatsWallTime& w : kQueryStatsWallTimes) {
+    d.*w.member -= other.*w.member;
+  }
   return d;
 }
 
 std::string QueryStats::ToString() const {
   std::ostringstream os;
-  os << "dist=" << dist_computations << " matrix_dist="
-     << matrix_dist_computations << " tri_tries=" << triangle_tries
-     << " tri_avoided=" << triangle_avoided
-     << " pivot_dist=" << pivot_dist_computations
-     << " pivot_tries=" << pivot_tries << " pivot_avoided=" << pivot_avoided
-     << " kernel_batches=" << kernel_batches
-     << " kernel_dists=" << kernel_batched_dists
-     << " kernel_spec=" << kernel_speculative_dists
-     << " rand_pages=" << random_page_reads << " seq_pages=" << seq_page_reads
-     << " buffer_hits=" << buffer_hits
-     << " pages_skipped=" << pages_skipped_buffered
-     << " queries=" << queries_completed << " answers=" << answers_produced;
+  const char* sep = "";
+  for (const QueryStatsCounter& c : kQueryStatsCounters) {
+    os << sep << c.name << '=' << this->*c.member;
+    sep = " ";
+  }
   return os.str();
 }
 

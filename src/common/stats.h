@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <string>
 
@@ -46,6 +47,10 @@ struct CostModel {
 
 /// Raw operation counts charged by the query engines. Additive: the `+=`
 /// operator aggregates per-query or per-server stats.
+///
+/// Every field is also listed once in kQueryStatsCounters or
+/// kQueryStatsWallTimes below; accumulation, ToString, the exported
+/// metrics and bench JSON are all driven by those lists.
 struct QueryStats {
   // --- CPU side -------------------------------------------------------
   /// Distance computations against database objects (and, for metric
@@ -147,9 +152,114 @@ struct QueryStats {
   QueryStats& operator+=(const QueryStats& other);
   QueryStats operator-(const QueryStats& other) const;
 
-  /// One-line human-readable rendering (for examples and debugging).
+  /// One-line human-readable rendering (for examples and debugging):
+  /// `name=value` per counter, named as in kQueryStatsCounters.
   std::string ToString() const;
 };
+
+/// One QueryStats counter: its member, its name (the member's own — also
+/// the ToString and bench JSON key), and the Prometheus counter
+/// obs::MetricsSink publishes it to, with that counter's help text.
+struct QueryStatsCounter {
+  uint64_t QueryStats::*member;
+  const char* name;
+  const char* metric;
+  const char* help;
+};
+
+/// One latency-attribution wall time. Not exported as a counter: the
+/// batch scheduler turns these into per-query latency components.
+struct QueryStatsWallTime {
+  double QueryStats::*member;
+  const char* name;
+};
+
+#define MSQ_STATS_FIELD(field, ...) \
+  {&QueryStats::field, #field __VA_OPT__(, ) __VA_ARGS__}
+
+/// The single declaration of every QueryStats counter. Adding a counter
+/// takes one entry here (plus its row in docs/ALGORITHMS.md, which a test
+/// enforces).
+inline constexpr QueryStatsCounter kQueryStatsCounters[] = {
+    MSQ_STATS_FIELD(
+        dist_computations, "msq_engine_dist_computations_total",
+        "Distance computations against database objects (CPU cost term)"),
+    MSQ_STATS_FIELD(
+        matrix_dist_computations, "msq_engine_matrix_dist_computations_total",
+        "Query-distance-matrix initializations, the m(m-1)/2 term of Sec. 5.2"),
+    MSQ_STATS_FIELD(
+        triangle_tries, "msq_engine_triangle_tries_total",
+        "Triangle-inequality avoidance attempts (avoiding_tries, Sec. 5.2)"),
+    MSQ_STATS_FIELD(triangle_avoided, "msq_engine_triangle_avoided_total",
+                    "Distance computations avoided via Lemma 1 / Lemma 2"),
+    MSQ_STATS_FIELD(pivot_dist_computations,
+                    "msq_engine_pivot_dist_computations_total",
+                    "Query-to-pivot setup distances of the LAESA pivot filter"),
+    MSQ_STATS_FIELD(
+        pivot_tries, "msq_engine_pivot_tries_total",
+        "Pivot lower-bound inequalities evaluated (page filter + hyper-rings)"),
+    MSQ_STATS_FIELD(
+        pivot_avoided, "msq_engine_pivot_avoided_total",
+        "Distance computations avoided by pivot lower bounds / ring cuts"),
+    MSQ_STATS_FIELD(kernel_batches, "msq_kernel_batches_total",
+                    "Batched distance evaluations issued by the page kernel"),
+    MSQ_STATS_FIELD(
+        kernel_batched_dists, "msq_kernel_batched_dists_total",
+        "Distances evaluated through the page kernel's batched calls"),
+    MSQ_STATS_FIELD(kernel_speculative_dists,
+                    "msq_kernel_speculative_dists_total",
+                    "Speculative batched evaluations discarded by the kernel's "
+                    "replay pass (computed, then proven avoidable)"),
+    MSQ_STATS_FIELD(
+        random_page_reads, "msq_engine_random_page_reads_total",
+        "Data pages fetched with a random disk access (I/O cost term)"),
+    MSQ_STATS_FIELD(
+        seq_page_reads, "msq_engine_seq_page_reads_total",
+        "Data pages fetched with a sequential disk access (I/O cost term)"),
+    MSQ_STATS_FIELD(buffer_hits, "msq_engine_buffer_hits_total",
+                    "Page requests satisfied by the buffer pool"),
+    MSQ_STATS_FIELD(pages_skipped_buffered,
+                    "msq_engine_pages_skipped_buffered_total",
+                    "Pages skipped because the answer buffer already accounted "
+                    "them (Sec. 5.1 incremental processing)"),
+    MSQ_STATS_FIELD(queries_completed, "msq_engine_queries_completed_total",
+                    "Similarity queries answered completely"),
+    MSQ_STATS_FIELD(answers_produced, "msq_engine_answers_produced_total",
+                    "Answers produced across completed queries"),
+};
+
+/// The single declaration of every latency-attribution wall time.
+inline constexpr QueryStatsWallTime kQueryStatsWallTimes[] = {
+    MSQ_STATS_FIELD(attr_window_micros),
+    MSQ_STATS_FIELD(attr_matrix_micros),
+    MSQ_STATS_FIELD(attr_page_io_micros),
+    MSQ_STATS_FIELD(attr_kernel_micros),
+    MSQ_STATS_FIELD(attr_lock_wait_micros),
+    MSQ_STATS_FIELD(attr_retry_micros),
+    MSQ_STATS_FIELD(attr_merge_micros),
+};
+
+#undef MSQ_STATS_FIELD
+
+// A field missing from the lists, or listed twice, fails to compile.
+static_assert(
+    [] {
+      auto distinct = [](const auto& table) {
+        for (size_t i = 0; i < std::size(table); ++i) {
+          for (size_t j = 0; j < i; ++j) {
+            if (table[i].member == table[j].member) return false;
+          }
+        }
+        return true;
+      };
+      return distinct(kQueryStatsCounters) && distinct(kQueryStatsWallTimes);
+    }(),
+    "a QueryStats field is listed twice");
+static_assert(sizeof(QueryStats) ==
+                  std::size(kQueryStatsCounters) * sizeof(uint64_t) +
+                      std::size(kQueryStatsWallTimes) * sizeof(double),
+              "every QueryStats field needs one kQueryStatsCounters or "
+              "kQueryStatsWallTimes entry");
 
 /// Thread-safe QueryStats sink for concurrent execution paths.
 ///

@@ -364,6 +364,10 @@ Status MetricDatabase::CompactLocked() {
     base->AttachPivots(pivots);
   }
   base->SetMetricsSink(overlay_->metrics_sink());
+  // Finalize a lazy tree layout now, while the base is private: once
+  // published, a reader's first call and a checkpoint's SaveIndex would
+  // both finalize it, concurrently.
+  base->MutableLayout();
 
   auto next = std::make_shared<LiveVersion>();
   next->base_n = shared->size();
@@ -412,14 +416,17 @@ Status MetricDatabase::Save(const std::string& path) {
 
 Status MetricDatabase::WriteStoreLocked(const std::string& tmp_path,
                                         uint64_t nonce) {
+  // The writer's own snapshot, never backend_: the overlay resolves that
+  // through the snapshot a concurrent reader installed, which may still
+  // hold a superseded base.
   std::shared_ptr<const LiveVersion> cur = overlay_->Current();
   const Dataset& data = *cur->base_dataset;
   // Serialize the index blob first: for the trees this finalizes the lazy
   // page layout, so the page map SaveToStore writes below is exactly the
   // one the blob describes.
   std::ostringstream index;
-  MSQ_RETURN_IF_ERROR(backend_->SaveIndex(index));
-  DataLayout* layout = backend_->MutableLayout();
+  MSQ_RETURN_IF_ERROR(cur->base->SaveIndex(index));
+  DataLayout* layout = cur->base->MutableLayout();
   if (layout == nullptr) {
     return Status::NotSupported("backend has no persistable data layout");
   }

@@ -5,56 +5,10 @@ namespace msq::obs {
 MetricsSink::MetricsSink(MetricsRegistry* registry, Tracer* tracer)
     : registry_(registry), tracer_(tracer) {
   if (registry_ == nullptr) return;
-  counters_.dist_computations = registry_->GetCounter(
-      "msq_engine_dist_computations_total",
-      "Distance computations against database objects (CPU cost term)");
-  counters_.matrix_dist_computations = registry_->GetCounter(
-      "msq_engine_matrix_dist_computations_total",
-      "Query-distance-matrix initializations, the m(m-1)/2 term of Sec. 5.2");
-  counters_.triangle_tries = registry_->GetCounter(
-      "msq_engine_triangle_tries_total",
-      "Triangle-inequality avoidance attempts (avoiding_tries, Sec. 5.2)");
-  counters_.triangle_avoided = registry_->GetCounter(
-      "msq_engine_triangle_avoided_total",
-      "Distance computations avoided via Lemma 1 / Lemma 2");
-  counters_.pivot_dist_computations = registry_->GetCounter(
-      "msq_engine_pivot_dist_computations_total",
-      "Query-to-pivot setup distances of the LAESA pivot filter");
-  counters_.pivot_tries = registry_->GetCounter(
-      "msq_engine_pivot_tries_total",
-      "Pivot lower-bound inequalities evaluated (page filter + hyper-rings)");
-  counters_.pivot_avoided = registry_->GetCounter(
-      "msq_engine_pivot_avoided_total",
-      "Distance computations avoided by pivot lower bounds / ring cuts");
-  counters_.kernel_batches = registry_->GetCounter(
-      "msq_kernel_batches_total",
-      "Batched distance evaluations issued by the page kernel");
-  counters_.kernel_batched_dists = registry_->GetCounter(
-      "msq_kernel_batched_dists_total",
-      "Distances evaluated through the page kernel's batched calls");
-  counters_.kernel_speculative_dists = registry_->GetCounter(
-      "msq_kernel_speculative_dists_total",
-      "Speculative batched evaluations discarded by the kernel's replay "
-      "pass (computed, then proven avoidable)");
-  counters_.random_page_reads = registry_->GetCounter(
-      "msq_engine_random_page_reads_total",
-      "Data pages fetched with a random disk access (I/O cost term)");
-  counters_.seq_page_reads = registry_->GetCounter(
-      "msq_engine_seq_page_reads_total",
-      "Data pages fetched with a sequential disk access (I/O cost term)");
-  counters_.buffer_hits = registry_->GetCounter(
-      "msq_engine_buffer_hits_total",
-      "Page requests satisfied by the buffer pool");
-  counters_.pages_skipped_buffered = registry_->GetCounter(
-      "msq_engine_pages_skipped_buffered_total",
-      "Pages skipped because the answer buffer already accounted them "
-      "(Sec. 5.1 incremental processing)");
-  counters_.queries_completed = registry_->GetCounter(
-      "msq_engine_queries_completed_total",
-      "Similarity queries answered completely");
-  counters_.answers_produced = registry_->GetCounter(
-      "msq_engine_answers_produced_total",
-      "Answers produced across completed queries");
+  for (size_t i = 0; i < counters_.size(); ++i) {
+    counters_[i] = registry_->GetCounter(kQueryStatsCounters[i].metric,
+                                         kQueryStatsCounters[i].help);
+  }
 }
 
 const MetricsSink* MetricsSink::Default() {
@@ -65,22 +19,9 @@ const MetricsSink* MetricsSink::Default() {
 
 void MetricsSink::PublishQueryStats(const QueryStats& delta) const {
   if (registry_ == nullptr) return;
-  counters_.dist_computations->Add(delta.dist_computations);
-  counters_.matrix_dist_computations->Add(delta.matrix_dist_computations);
-  counters_.triangle_tries->Add(delta.triangle_tries);
-  counters_.triangle_avoided->Add(delta.triangle_avoided);
-  counters_.pivot_dist_computations->Add(delta.pivot_dist_computations);
-  counters_.pivot_tries->Add(delta.pivot_tries);
-  counters_.pivot_avoided->Add(delta.pivot_avoided);
-  counters_.kernel_batches->Add(delta.kernel_batches);
-  counters_.kernel_batched_dists->Add(delta.kernel_batched_dists);
-  counters_.kernel_speculative_dists->Add(delta.kernel_speculative_dists);
-  counters_.random_page_reads->Add(delta.random_page_reads);
-  counters_.seq_page_reads->Add(delta.seq_page_reads);
-  counters_.buffer_hits->Add(delta.buffer_hits);
-  counters_.pages_skipped_buffered->Add(delta.pages_skipped_buffered);
-  counters_.queries_completed->Add(delta.queries_completed);
-  counters_.answers_produced->Add(delta.answers_produced);
+  for (size_t i = 0; i < counters_.size(); ++i) {
+    counters_[i]->Add(delta.*kQueryStatsCounters[i].member);
+  }
 }
 
 }  // namespace msq::obs

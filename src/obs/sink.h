@@ -18,6 +18,8 @@
 #ifndef MSQ_OBS_SINK_H_
 #define MSQ_OBS_SINK_H_
 
+#include <array>
+
 #include "common/stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -44,25 +46,8 @@ class MetricsSink {
   MetricsRegistry* registry_;
   Tracer* tracer_;
 
-  struct StatsCounters {
-    Counter* dist_computations = nullptr;
-    Counter* matrix_dist_computations = nullptr;
-    Counter* triangle_tries = nullptr;
-    Counter* triangle_avoided = nullptr;
-    Counter* pivot_dist_computations = nullptr;
-    Counter* pivot_tries = nullptr;
-    Counter* pivot_avoided = nullptr;
-    Counter* kernel_batches = nullptr;
-    Counter* kernel_batched_dists = nullptr;
-    Counter* kernel_speculative_dists = nullptr;
-    Counter* random_page_reads = nullptr;
-    Counter* seq_page_reads = nullptr;
-    Counter* buffer_hits = nullptr;
-    Counter* pages_skipped_buffered = nullptr;
-    Counter* queries_completed = nullptr;
-    Counter* answers_produced = nullptr;
-  };
-  StatsCounters counters_;
+  /// One cell per kQueryStatsCounters entry, in list order.
+  std::array<Counter*, std::size(kQueryStatsCounters)> counters_{};
 };
 
 }  // namespace msq::obs

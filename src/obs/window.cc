@@ -43,25 +43,33 @@ void SlidingWindowHistogram::ObserveAtMicros(double value, int64_t now_micros) {
 
   // Claim the slot for `epoch`, recycling it if it still holds an older
   // epoch. Exactly one writer performs the clear (CAS to kRotating); the
-  // others spin until the new epoch is published.
+  // others spin until the new epoch is published. A writer holds a
+  // `writers` reference from its epoch check to its last add, and the
+  // clear waits for those to drain, so a sample is never split across a
+  // clear (bucket and count kept, sum lost). The reference is taken
+  // before the epoch is read and the rotator reads `writers` after its
+  // CAS, both seq_cst: one of the two always sees the other.
   for (;;) {
-    int64_t cur = slot.epoch.load(std::memory_order_acquire);
+    slot.writers.fetch_add(1, std::memory_order_seq_cst);
+    int64_t cur = slot.epoch.load(std::memory_order_seq_cst);
     if (cur == epoch) break;
+    slot.writers.fetch_sub(1, std::memory_order_release);
     if (cur == kRotating) {
       std::this_thread::yield();
       continue;
     }
     if (cur > epoch) return;  // sample older than the whole ring: dropped
     if (slot.epoch.compare_exchange_weak(cur, kRotating,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
+                                         std::memory_order_seq_cst)) {
+      while (slot.writers.load(std::memory_order_seq_cst) != 0) {
+        std::this_thread::yield();
+      }
       for (std::atomic<uint64_t>& b : slot.buckets) {
         b.store(0, std::memory_order_relaxed);
       }
       slot.count.store(0, std::memory_order_relaxed);
       slot.sum_bits.store(0, std::memory_order_relaxed);
       slot.epoch.store(epoch, std::memory_order_release);
-      break;
     }
   }
 
@@ -79,6 +87,7 @@ void SlidingWindowHistogram::ObserveAtMicros(double value, int64_t now_micros) {
       break;
     }
   }
+  slot.writers.fetch_sub(1, std::memory_order_release);
 }
 
 Histogram::Snapshot SlidingWindowHistogram::SnapAtMicros(

@@ -12,11 +12,13 @@
 //
 // Concurrency: everything is atomics — no mutex on the observe path. Slot
 // rotation uses a CAS to a kRotating sentinel so exactly one writer clears
-// a recycled slot while others spin (bounded: a clear is a handful of
-// relaxed stores). Two benign races are accepted and documented: a sample
-// racing the rotation of its own slot may be counted in the next epoch or
-// dropped, and a sample whose timestamp is older than the whole ring is
-// dropped. Both only matter within one slot width of a boundary.
+// a recycled slot, after the writers still adding to it have finished,
+// while others spin (bounded: an add and a clear are a handful of atomic
+// operations). Two benign races are accepted and documented: a sample
+// racing the rotation of its own slot may be dropped (always whole:
+// bucket, count and sum together), and a sample whose timestamp is older
+// than the whole ring is dropped. Both only matter within one slot width of a
+// boundary.
 
 #ifndef MSQ_OBS_WINDOW_H_
 #define MSQ_OBS_WINDOW_H_
@@ -67,6 +69,9 @@ class SlidingWindowHistogram {
     // kNeverUsed when empty since construction/Reset, kRotating while one
     // writer clears it for reuse, else the epoch whose samples it holds.
     std::atomic<int64_t> epoch{kNeverUsed};
+    // Writers between their epoch check and their last add; a clear
+    // waits for zero.
+    std::atomic<uint32_t> writers{0};
     std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> sum_bits{0};
     std::vector<std::atomic<uint64_t>> buckets;  // boundaries.size() + 1

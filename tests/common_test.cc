@@ -1,9 +1,12 @@
 // Tests for the common substrate: Status/StatusOr, Rng, QueryStats and the
 // cost model, and the flag parser.
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -204,50 +207,69 @@ TEST(QueryStatsTest, CpuMillisCountsMatrixAndTriangleCosts) {
   EXPECT_DOUBLE_EQ(stats.CpuMillis(model, 20), expected);
 }
 
+// Distinct per-field values, driven by the declared lists so that a new
+// field is covered without touching these tests.
+QueryStats Distinct(uint64_t scale) {
+  QueryStats s;
+  uint64_t v = 0;
+  for (const QueryStatsCounter& c : kQueryStatsCounters) {
+    s.*c.member = ++v * scale;
+  }
+  for (const QueryStatsWallTime& w : kQueryStatsWallTimes) {
+    s.*w.member = static_cast<double>(++v * scale) + 0.5;
+  }
+  return s;
+}
+
 TEST(QueryStatsTest, AdditionAggregatesEveryField) {
-  QueryStats a, b;
-  a.dist_computations = 1;
-  a.matrix_dist_computations = 2;
-  a.triangle_tries = 3;
-  a.triangle_avoided = 4;
-  a.random_page_reads = 5;
-  a.seq_page_reads = 6;
-  a.buffer_hits = 7;
-  a.pages_skipped_buffered = 8;
-  a.queries_completed = 9;
-  a.answers_produced = 10;
-  b = a;
-  a += b;
-  EXPECT_EQ(a.dist_computations, 2u);
-  EXPECT_EQ(a.matrix_dist_computations, 4u);
-  EXPECT_EQ(a.triangle_tries, 6u);
-  EXPECT_EQ(a.triangle_avoided, 8u);
-  EXPECT_EQ(a.random_page_reads, 10u);
-  EXPECT_EQ(a.seq_page_reads, 12u);
-  EXPECT_EQ(a.buffer_hits, 14u);
-  EXPECT_EQ(a.pages_skipped_buffered, 16u);
-  EXPECT_EQ(a.queries_completed, 18u);
-  EXPECT_EQ(a.answers_produced, 20u);
+  const QueryStats a = Distinct(1), b = Distinct(10);
+  QueryStats sum = a;
+  sum += b;
+  for (const QueryStatsCounter& c : kQueryStatsCounters) {
+    EXPECT_EQ(sum.*c.member, a.*c.member + b.*c.member) << c.name;
+  }
+  for (const QueryStatsWallTime& w : kQueryStatsWallTimes) {
+    EXPECT_DOUBLE_EQ(sum.*w.member, a.*w.member + b.*w.member) << w.name;
+  }
 }
 
 TEST(QueryStatsTest, SubtractionIsInverseOfAddition) {
-  QueryStats a, b;
-  a.dist_computations = 10;
-  a.seq_page_reads = 20;
-  b.dist_computations = 4;
-  b.seq_page_reads = 5;
+  const QueryStats a = Distinct(3), b = Distinct(7);
   QueryStats sum = a;
   sum += b;
   const QueryStats diff = sum - b;
-  EXPECT_EQ(diff.dist_computations, a.dist_computations);
-  EXPECT_EQ(diff.seq_page_reads, a.seq_page_reads);
+  for (const QueryStatsCounter& c : kQueryStatsCounters) {
+    EXPECT_EQ(diff.*c.member, a.*c.member) << c.name;
+  }
+  for (const QueryStatsWallTime& w : kQueryStatsWallTimes) {
+    EXPECT_DOUBLE_EQ(diff.*w.member, a.*w.member) << w.name;
+  }
 }
 
 TEST(QueryStatsTest, ToStringMentionsKeyCounters) {
   QueryStats stats;
   stats.dist_computations = 42;
+  stats.answers_produced = 7;
   const std::string s = stats.ToString();
-  EXPECT_NE(s.find("dist=42"), std::string::npos);
+  EXPECT_NE(s.find("dist_computations=42"), std::string::npos) << s;
+  EXPECT_NE(s.find("answers_produced=7"), std::string::npos) << s;
+}
+
+TEST(QueryStatsTest, EveryExportedCounterHasADocsRow) {
+  std::ifstream in(std::string(MSQ_SOURCE_DIR) + "/docs/ALGORITHMS.md");
+  ASSERT_TRUE(in.good());
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("| `", 0) == 0) rows.push_back(line);
+  }
+  for (const QueryStatsCounter& c : kQueryStatsCounters) {
+    const std::string metric = std::string("`") + c.metric + "`";
+    const std::string field = std::string("`") + c.name + "`";
+    EXPECT_TRUE(std::any_of(rows.begin(), rows.end(), [&](const auto& row) {
+      return row.find(metric) != std::string::npos &&
+             row.find(field) != std::string::npos;
+    })) << "docs/ALGORITHMS.md has no counter-table row for " << c.metric;
+  }
 }
 
 // ---------------------------------------------------------------------

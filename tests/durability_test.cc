@@ -9,9 +9,6 @@
 // every reopened database must answer bit-identically to a valid quiesced
 // prefix of the mutation history, and no crash point may surface as
 // Corruption.
-//
-// Suite names all start with "Durability" — the TSan CI filter and the
-// durability-smoke job select on that prefix.
 
 #include <atomic>
 #include <cstdint>
@@ -931,6 +928,67 @@ TEST(DurabilityStressTest, MonitorAccessorsRaceAutoCheckpointWalSwaps) {
   ASSERT_FALSE(failed.load());
   EXPECT_EQ(db->NumLiveObjects(), base.size() + kMutations);
   RemoveDbFiles(path);
+}
+
+// A reader's installed snapshot must never leak into the writer's
+// checkpoint. Each round inserts an object and deletes it again, so every
+// auto-checkpoint folds the overlay into a fresh base while a reader thread
+// keeps querying a reopened, store-backed database. A checkpoint that saved
+// the reader's stale base instead of the writer's own fails ("already
+// backed by a page store") and detaches the WAL, or persists stale
+// contents; a lazily finalized tree base must not be finalized by reader
+// and writer at once.
+TEST(DurabilityStressTest, CheckpointsIgnoreTheReadersSnapshot) {
+  const Dataset base = MakeUniformDataset(2000, 8, 151);
+  const Dataset adds = MakeUniformDataset(64, 8, 152);
+  const Dataset probes = MakeUniformDataset(4, 8, 153);
+  for (BackendKind kind : {BackendKind::kLinearScan, BackendKind::kXTree}) {
+    SCOPED_TRACE(BackendKindName(kind));
+    const std::string path = TempPath("durab_reader_ckpt.msq");
+    RemoveDbFiles(path);
+    DatabaseOptions options = WalOptions(nullptr, kind);
+    options.durability.auto_checkpoint_wal_bytes = 2048;
+    {
+      auto built = BuildDb(base, options);
+      ASSERT_NE(built, nullptr);
+      ASSERT_TRUE(built->Save(path).ok());
+    }
+    auto opened = MetricDatabase::Open(path, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    MetricDatabase* db = opened->get();
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> queries{0};
+    std::atomic<bool> query_failed{false};
+    std::thread reader([&] {
+      for (int i = 0; !stop.load(); ++i) {
+        const Vec& p = probes.object(static_cast<ObjectId>(i % 4));
+        if (!db->SimilarityQuery(db->MakeKnnQuery(p, 5)).ok()) {
+          query_failed = true;
+        }
+        ++queries;
+      }
+    });
+    while (queries.load() == 0) std::this_thread::yield();
+    int write_failures = 0;
+    for (int round = 0; round < 300; ++round) {
+      auto id = db->Insert(adds.object(static_cast<ObjectId>(round % 64)));
+      if (!id.ok() || !db->Delete(*id).ok()) ++write_failures;
+    }
+    stop = true;
+    reader.join();
+    EXPECT_FALSE(query_failed.load());
+    EXPECT_EQ(write_failures, 0);
+    EXPECT_TRUE(db->wal_attached());
+    opened->reset();
+
+    // Every insert was deleted again: the recovered database is the base.
+    auto reopened = MetricDatabase::Open(path, options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_TRUE(MatchesExpected(reopened->get(), base, probes));
+    reopened->reset();
+    RemoveDbFiles(path);
+  }
 }
 
 }  // namespace

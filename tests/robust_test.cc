@@ -498,7 +498,7 @@ TEST(RobustEngineTest, MidBatchCrashIsUnavailableWithHonestAccounting) {
 }
 
 // ---------------------------------------------------------------------
-// Seed sweep (the fault-smoke CI job runs this under ASan)
+// Seed sweep (CI runs this under ASan)
 // ---------------------------------------------------------------------
 
 // Probabilistic faults across a seed sweep: whatever the schedule, bounded
