@@ -233,7 +233,6 @@ int Main(int argc, char** argv) {
   // Attribution needs sequential per-partition execution: attributed
   // component times are wall times and must stay additive (see header).
   copts.use_threads = false;
-  copts.partial_results = true;
   copts.seed = seed + 5;
   copts.retry.max_retries = static_cast<int>(flags.GetInt("retries"));
   copts.retry.initial_backoff = std::chrono::microseconds(100);

@@ -55,11 +55,13 @@ class CandidateStream {
 
 /// A database organization that can answer similarity queries page-wise.
 ///
-/// Object vectors are accessible in memory (`ObjectVec`) — the simulated
-/// storage charges I/O through ReadPage instead of actually materializing
-/// bytes. Directory structures of tree backends are assumed memory-resident
+/// Object vectors are accessible in memory (`ObjectVec`); data pages are
+/// read through one call, ReadPageBlockChecked, which charges the access
+/// to the simulated (or, with a page store attached, real) storage.
+/// Directory structures of tree backends are assumed memory-resident
 /// (their upper levels are buffer-resident in any realistic deployment);
-/// I/O accounting covers data pages, the dominant term.
+/// I/O accounting covers data pages, the dominant term. No call on the
+/// read side rebuilds a backend's page layout.
 class QueryBackend {
  public:
   virtual ~QueryBackend() = default;
@@ -80,44 +82,13 @@ class QueryBackend {
   virtual double PageMinDist(PageId page, const Query& q,
                              QueryStats* stats) = 0;
 
-  /// Objects stored on `page`; charges the page access (buffer pool, then
-  /// sequential/random disk read) to `stats`.
-  virtual const std::vector<ObjectId>& ReadPage(PageId page,
-                                                QueryStats* stats) = 0;
-
-  /// Fallible page read: the engines' entry point. The simulated storage of
-  /// the stock backends cannot fail, so the default delegates to ReadPage
-  /// and always succeeds; fault-injecting decorators (robust/) override
-  /// this to surface IOError for crashed servers and flaky page reads.
-  /// On success the pointee is owned by the backend (same lifetime rules
-  /// as ReadPage's reference).
-  virtual StatusOr<const std::vector<ObjectId>*> ReadPageChecked(
-      PageId page, QueryStats* stats) {
-    return &ReadPage(page, stats);
-  }
-
-  /// Fallible page read returning a contiguous PageBlock view — the page
-  /// kernel's entry point. The default gathers the page's vectors through
-  /// ReadPageChecked + ObjectVec into backend-owned scratch (correct for
-  /// any backend, one row copy per object); backends whose DataLayout has
-  /// materialized rows override this to hand out their contiguous storage
-  /// directly. The view is valid until the next call on this backend.
+  /// The one page read, used by both engines: a contiguous PageBlock view
+  /// of `page`'s object ids and vectors. Charges the page access (buffer
+  /// pool, then sequential/random disk read) to `stats`. Fallible:
+  /// fault-injecting decorators (robust/) and page-store reads surface
+  /// IOError. The view is valid until the next call on this backend.
   virtual Status ReadPageBlockChecked(PageId page, QueryStats* stats,
-                                      PageBlock* out) {
-    auto read = ReadPageChecked(page, stats);
-    if (!read.ok()) return read.status();
-    const std::vector<ObjectId>& objects = **read;
-    const size_t dim = objects.empty() ? 0 : ObjectVec(objects[0]).size();
-    gather_rows_.clear();
-    gather_rows_.reserve(objects.size() * dim);
-    for (ObjectId id : objects) {
-      const Vec& v = ObjectVec(id);
-      gather_rows_.insert(gather_rows_.end(), v.begin(), v.end());
-    }
-    out->ids = objects.data();
-    out->vecs = VecBlock{gather_rows_.data(), dim, objects.size()};
-    return Status::OK();
-  }
+                                      PageBlock* out) = 0;
 
   virtual size_t NumDataPages() const = 0;
   virtual size_t NumObjects() const = 0;
@@ -148,9 +119,7 @@ class QueryBackend {
   virtual void AttachPivots(std::shared_ptr<const PivotTable> /*pivots*/) {}
 
   /// The backend's DataLayout, for persistence (SaveToStore/AttachStore).
-  /// Null for backends without one (test fakes, remote proxies). Tree
-  /// backends finalize first, so the returned layout is the one queries
-  /// run on.
+  /// Null for backends without one (test fakes, remote proxies).
   virtual DataLayout* MutableLayout() { return nullptr; }
 
   /// Serializes the backend's index structure (not the data pages — those
@@ -159,11 +128,6 @@ class QueryBackend {
   virtual Status SaveIndex(std::ostream& /*out*/) {
     return Status::NotSupported("backend cannot serialize its index");
   }
-
- protected:
-  /// Scratch for the default ReadPageBlockChecked gather; reused across
-  /// calls so steady-state block reads allocate nothing.
-  std::vector<Scalar> gather_rows_;
 };
 
 }  // namespace msq

@@ -364,10 +364,6 @@ Status MetricDatabase::CompactLocked() {
     base->AttachPivots(pivots);
   }
   base->SetMetricsSink(overlay_->metrics_sink());
-  // Finalize a lazy tree layout now, while the base is private: once
-  // published, a reader's first call and a checkpoint's SaveIndex would
-  // both finalize it, concurrently.
-  base->MutableLayout();
 
   auto next = std::make_shared<LiveVersion>();
   next->base_n = shared->size();
@@ -421,11 +417,6 @@ Status MetricDatabase::WriteStoreLocked(const std::string& tmp_path,
   // hold a superseded base.
   std::shared_ptr<const LiveVersion> cur = overlay_->Current();
   const Dataset& data = *cur->base_dataset;
-  // Serialize the index blob first: for the trees this finalizes the lazy
-  // page layout, so the page map SaveToStore writes below is exactly the
-  // one the blob describes.
-  std::ostringstream index;
-  MSQ_RETURN_IF_ERROR(cur->base->SaveIndex(index));
   DataLayout* layout = cur->base->MutableLayout();
   if (layout == nullptr) {
     return Status::NotSupported("backend has no persistable data layout");
@@ -449,6 +440,8 @@ Status MetricDatabase::WriteStoreLocked(const std::string& tmp_path,
   // Data pages first: a sequential scan of the reopened database walks the
   // file front to back.
   MSQ_RETURN_IF_ERROR(layout->SaveToStore(store.get()));
+  std::ostringstream index;
+  MSQ_RETURN_IF_ERROR(cur->base->SaveIndex(index));
   MSQ_RETURN_IF_ERROR(store->PutObject("index", index.str()));
   if (data.has_labels()) {
     std::ostringstream labels;
@@ -786,8 +779,8 @@ StatusOr<std::unique_ptr<MetricDatabase>> MetricDatabase::Open(
     pivot_table = std::move(built).value();
   }
 
-  // Route page reads through the file (MutableLayout finalizes the trees,
-  // reproducing the page map the store's directory was written against).
+  // Route page reads through the file (LoadIndex/LoadFrom rebuilt the page
+  // map the store's directory was written against).
   DataLayout* layout = base->MutableLayout();
   if (layout == nullptr) {
     return Status::Internal("reopened backend has no data layout");

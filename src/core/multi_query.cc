@@ -193,15 +193,11 @@ Status MultiQueryEngine::ExecuteInternal(std::span<const Query> queries,
   }
 
   BufferedQueryState* primary = states[0];
-  // Effective deadline of this window: the primary query's own absolute
-  // deadline, tightened by the per-window default. Checked once per
-  // candidate page — pages are the unit of both I/O and engine work, so
-  // page granularity bounds the overrun by one page's processing time.
-  auto deadline = queries[0].deadline;
-  if (options_.default_deadline.count() > 0) {
-    deadline = std::min(
-        deadline, std::chrono::steady_clock::now() + options_.default_deadline);
-  }
+  // Deadline of this window: the primary query's own absolute deadline.
+  // Checked once per candidate page — pages are the unit of both I/O and
+  // engine work, so page granularity bounds the overrun by one page's
+  // processing time.
+  const auto deadline = queries[0].deadline;
   const bool has_deadline = deadline != kNoDeadline;
   bool deadline_hit = false;
   if (!primary->complete) {

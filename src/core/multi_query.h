@@ -11,7 +11,6 @@
 #ifndef MSQ_CORE_MULTI_QUERY_H_
 #define MSQ_CORE_MULTI_QUERY_H_
 
-#include <chrono>
 #include <memory>
 #include <span>
 #include <vector>
@@ -54,13 +53,6 @@ struct MultiQueryOptions {
   /// computes identical answers and identical `dist_computations` /
   /// `triangle_avoided` counts (the batched mode's test oracle).
   bool use_batched_kernel = true;
-  /// Default per-window deadline, measured from the start of each
-  /// ExecuteInternal call; zero means none. A query's own absolute
-  /// `Query::deadline` takes precedence when it is tighter. Checked at
-  /// page granularity: on expiry the window returns DeadlineExceeded with
-  /// the buffered partial answers, and the primary query stays incomplete
-  /// (and resumable) in the AnswerBuffer.
-  std::chrono::microseconds default_deadline{0};
   /// Charge wall-clock stage timings (matrix build, page reads, kernel,
   /// whole window) to QueryStats::attr_* so the serving layer can decompose
   /// end-to-end latency. Only active when a metrics sink is attached — a

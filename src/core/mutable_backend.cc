@@ -98,54 +98,6 @@ double MutableBackend::PageMinDist(PageId page, const Query& q,
   return v->base->PageMinDist(page, q, stats);
 }
 
-const std::vector<ObjectId>& MutableBackend::DeltaPageIds(const LiveVersion& v,
-                                                          size_t delta_page) {
-  const size_t begin = delta_page * v.delta_page_cap;
-  const size_t end = std::min(begin + v.delta_page_cap, v.delta.size());
-  scratch_ids_.clear();
-  for (size_t i = begin; i < end; ++i) {
-    const size_t id = v.base_n + i;
-    if (!v.tombstoned(id)) scratch_ids_.push_back(static_cast<ObjectId>(id));
-  }
-  return scratch_ids_;
-}
-
-const std::vector<ObjectId>& MutableBackend::ReadPage(PageId page,
-                                                      QueryStats* stats) {
-  const auto& v = View();
-  if (page < v->base->NumDataPages()) {
-    const std::vector<ObjectId>& ids = v->base->ReadPage(page, stats);
-    if (v->tomb_count == 0 || !AnyTombstoned(*v, ids.data(), ids.size())) {
-      return ids;  // pass-through: no copy, base-owned lifetime
-    }
-    scratch_ids_.clear();
-    for (ObjectId id : ids) {
-      if (!v->tombstoned(id)) scratch_ids_.push_back(id);
-    }
-    return scratch_ids_;
-  }
-  return DeltaPageIds(*v, page - v->base->NumDataPages());
-}
-
-StatusOr<const std::vector<ObjectId>*> MutableBackend::ReadPageChecked(
-    PageId page, QueryStats* stats) {
-  const auto& v = View();
-  if (page < v->base->NumDataPages()) {
-    auto read = v->base->ReadPageChecked(page, stats);
-    if (!read.ok()) return read.status();
-    const std::vector<ObjectId>& ids = **read;
-    if (v->tomb_count == 0 || !AnyTombstoned(*v, ids.data(), ids.size())) {
-      return read;
-    }
-    scratch_ids_.clear();
-    for (ObjectId id : ids) {
-      if (!v->tombstoned(id)) scratch_ids_.push_back(id);
-    }
-    return &scratch_ids_;
-  }
-  return &DeltaPageIds(*v, page - v->base->NumDataPages());
-}
-
 Status MutableBackend::ReadPageBlockChecked(PageId page, QueryStats* stats,
                                             PageBlock* out) {
   const auto& v = View();
@@ -162,30 +114,34 @@ Status MutableBackend::ReadPageBlockChecked(PageId page, QueryStats* stats,
     // compaction.
     const size_t dim = out->vecs.dim;
     scratch_ids_.clear();
-    gather_rows_.clear();
+    scratch_rows_.clear();
     for (size_t i = 0; i < out->size(); ++i) {
       if (v->tombstoned(out->ids[i])) continue;
       scratch_ids_.push_back(out->ids[i]);
       const Scalar* row = out->vecs.data + i * dim;
-      gather_rows_.insert(gather_rows_.end(), row, row + dim);
+      scratch_rows_.insert(scratch_rows_.end(), row, row + dim);
     }
     out->ids = scratch_ids_.data();
-    out->vecs = VecBlock{gather_rows_.data(), dim, scratch_ids_.size()};
+    out->vecs = VecBlock{scratch_rows_.data(), dim, scratch_ids_.size()};
     return Status::OK();
   }
   // Delta pseudo-page: gather the surviving rows from the in-memory
   // delta. No I/O is charged — the delta is memory-resident by
   // construction; compaction is the step that pays to page it.
-  const std::vector<ObjectId>& ids = DeltaPageIds(*v, page - base_pages);
+  const size_t begin = (page - base_pages) * v->delta_page_cap;
+  const size_t end = std::min(begin + v->delta_page_cap, v->delta.size());
   const size_t dim = v->base_dataset->dim();
-  gather_rows_.clear();
-  gather_rows_.reserve(ids.size() * dim);
-  for (ObjectId id : ids) {
-    const Vec& row = v->delta[id - v->base_n];
-    gather_rows_.insert(gather_rows_.end(), row.begin(), row.end());
+  scratch_ids_.clear();
+  scratch_rows_.clear();
+  for (size_t i = begin; i < end; ++i) {
+    const size_t id = v->base_n + i;
+    if (v->tombstoned(id)) continue;
+    scratch_ids_.push_back(static_cast<ObjectId>(id));
+    const Vec& row = v->delta[i];
+    scratch_rows_.insert(scratch_rows_.end(), row.begin(), row.end());
   }
-  out->ids = ids.data();
-  out->vecs = VecBlock{gather_rows_.data(), dim, ids.size()};
+  out->ids = scratch_ids_.data();
+  out->vecs = VecBlock{scratch_rows_.data(), dim, scratch_ids_.size()};
   return Status::OK();
 }
 

@@ -121,10 +121,6 @@ class MutableBackend : public QueryBackend {
   std::unique_ptr<CandidateStream> OpenStream(const Query& query,
                                               QueryStats* stats) override;
   double PageMinDist(PageId page, const Query& q, QueryStats* stats) override;
-  const std::vector<ObjectId>& ReadPage(PageId page,
-                                        QueryStats* stats) override;
-  StatusOr<const std::vector<ObjectId>*> ReadPageChecked(
-      PageId page, QueryStats* stats) override;
   Status ReadPageBlockChecked(PageId page, QueryStats* stats,
                               PageBlock* out) override;
   size_t NumDataPages() const override {
@@ -150,9 +146,6 @@ class MutableBackend : public QueryBackend {
   /// index-side structures (M-tree hyper-rings).
   void AttachPivots(std::shared_ptr<const PivotTable> pivots) override;
   DataLayout* MutableLayout() override { return View()->base->MutableLayout(); }
-  Status SaveIndex(std::ostream& out) override {
-    return View()->base->SaveIndex(out);
-  }
 
   /// The sink last attached (compaction re-wires it onto the new base).
   const obs::MetricsSink* metrics_sink() const { return sink_; }
@@ -166,11 +159,6 @@ class MutableBackend : public QueryBackend {
     return fallback_;
   }
 
-  /// Fills scratch_ids_ with the surviving ids of delta pseudo-page
-  /// `delta_page` (indices relative to the delta tier).
-  const std::vector<ObjectId>& DeltaPageIds(const LiveVersion& v,
-                                            size_t delta_page);
-
   mutable std::mutex version_mu_;
   std::shared_ptr<const LiveVersion> current_;  // guarded by version_mu_
   EpochManager epochs_;
@@ -178,7 +166,10 @@ class MutableBackend : public QueryBackend {
   // Query-side state (externally serialized with all reads).
   std::shared_ptr<const LiveVersion> active_;
   mutable std::shared_ptr<const LiveVersion> fallback_;
+  /// Survivors of a tombstoned base page or a delta pseudo-page: the
+  /// block ReadPageBlockChecked hands out for them.
   std::vector<ObjectId> scratch_ids_;
+  std::vector<Scalar> scratch_rows_;
 
   const obs::MetricsSink* sink_ = nullptr;
 };

@@ -66,9 +66,8 @@ StatusOr<std::unique_ptr<MTreeBackend>> MTreeBackend::Build(
   const size_t n = dataset->size();
   auto tree = std::unique_ptr<MTreeBackend>(
       new MTreeBackend(std::move(dataset), std::move(metric), opts));
-  for (ObjectId id = 0; id < n; ++id) {
-    MSQ_RETURN_IF_ERROR(tree->Insert(id));
-  }
+  for (ObjectId id = 0; id < n; ++id) tree->InsertObject(id);
+  tree->Finalize();
   return tree;
 }
 
@@ -89,7 +88,12 @@ Status MTreeBackend::Insert(ObjectId id) {
     // extents; the persistent store is read-only by design.
     return Status::NotSupported("cannot insert into a persistent store");
   }
-  finalized_ = false;
+  InsertObject(id);
+  Finalize();
+  return Status::OK();
+}
+
+void MTreeBackend::InsertObject(ObjectId id) {
   // Descend: at each directory node pick the child whose region needs the
   // least (ideally zero) radius enlargement, enlarging along the path.
   MNodeIndex cur = root_;
@@ -128,7 +132,6 @@ Status MTreeBackend::Insert(ObjectId id) {
   }
   InsertIntoLeaf(cur, id, dist_to_routing);
   ++num_objects_indexed_;
-  return Status::OK();
 }
 
 void MTreeBackend::InsertIntoLeaf(MNodeIndex leaf, ObjectId id,
@@ -387,7 +390,7 @@ constexpr uint32_t kMTreeMagic = 0x4d53514d;  // "MSQM"
 constexpr uint32_t kMTreeVersion = 1;
 }  // namespace
 
-Status MTreeBackend::SaveTo(std::ostream& out) {
+Status MTreeBackend::SaveIndex(std::ostream& out) {
   MSQ_RETURN_IF_ERROR(WriteU32(out, kMTreeMagic));
   MSQ_RETURN_IF_ERROR(WriteU32(out, kMTreeVersion));
   MSQ_RETURN_IF_ERROR(WriteU32(out, static_cast<uint32_t>(dataset_->dim())));
@@ -423,7 +426,7 @@ Status MTreeBackend::SaveTo(std::ostream& out) {
 Status MTreeBackend::Save(const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IOError("cannot open " + path + " for writing");
-  MSQ_RETURN_IF_ERROR(SaveTo(out));
+  MSQ_RETURN_IF_ERROR(SaveIndex(out));
   if (!out) return Status::IOError("write failed for " + path);
   return Status::OK();
 }
@@ -505,7 +508,7 @@ StatusOr<std::unique_ptr<MTreeBackend>> MTreeBackend::LoadFrom(
   }
   tree->root_ = root;
   tree->num_objects_indexed_ = indexed;
-  tree->finalized_ = false;
+  tree->Finalize();
   // Re-validates radii/parent distances under the caller's metric: loading
   // an index with the wrong metric fails here instead of corrupting
   // query results.
@@ -548,7 +551,6 @@ void MTreeBackend::Finalize() {
   // Inserts since the last attach may have reshaped subtrees; re-derive
   // the hyper-rings so they bound the current membership.
   if (pivots_ != nullptr && root_ != kInvalidMNode) BuildRings(root_);
-  finalized_ = true;
 }
 
 void MTreeBackend::AttachPivots(std::shared_ptr<const PivotTable> pivots) {
@@ -688,13 +690,11 @@ class MTreeStream : public CandidateStream {
 
 std::unique_ptr<CandidateStream> MTreeBackend::OpenStream(const Query& query,
                                                           QueryStats* stats) {
-  if (!finalized_) Finalize();
   return std::make_unique<MTreeStream>(this, query.point, stats);
 }
 
 double MTreeBackend::PageMinDist(PageId page, const Query& q,
                                  QueryStats* stats) {
-  if (!finalized_) Finalize();
   assert(page < page_to_node_.size());
   const MNode& node = nodes_[page_to_node_[page]];
   if (node.routing_object == kInvalidObjectId) return 0.0;  // root leaf
@@ -703,49 +703,6 @@ double MTreeBackend::PageMinDist(PageId page, const Query& q,
   const double d = counted.Distance(q.point,
                                     dataset_->object(node.routing_object));
   return std::max(0.0, d - node.radius);
-}
-
-const std::vector<ObjectId>& MTreeBackend::ReadPage(PageId page,
-                                                    QueryStats* stats) {
-  if (!finalized_) Finalize();
-  return layout_.Read(page, stats);
-}
-
-StatusOr<const std::vector<ObjectId>*> MTreeBackend::ReadPageChecked(
-    PageId page, QueryStats* stats) {
-  if (!finalized_) Finalize();
-  const std::vector<ObjectId>* out = nullptr;
-  MSQ_RETURN_IF_ERROR(layout_.TryRead(page, stats, &out));
-  return out;
-}
-
-Status MTreeBackend::ReadPageBlockChecked(PageId page, QueryStats* stats,
-                                          PageBlock* out) {
-  if (!finalized_) Finalize();
-  return layout_.TryReadBlock(page, stats, out);
-}
-
-DataLayout* MTreeBackend::MutableLayout() {
-  if (!finalized_) Finalize();
-  return &layout_;
-}
-
-Status MTreeBackend::SaveIndex(std::ostream& out) {
-  // Finalize first so the saved node -> page assignment is the one the
-  // persisted data pages use.
-  if (!finalized_) Finalize();
-  return SaveTo(out);
-}
-
-size_t MTreeBackend::NumDataPages() const {
-  size_t count = 0;
-  for (const MNode& n : nodes_) count += n.is_leaf ? 1 : 0;
-  return count;
-}
-
-void MTreeBackend::ResetIoState() {
-  if (!finalized_) Finalize();
-  layout_.ResetIoState();
 }
 
 MTreeShape MTreeBackend::Shape() const {
@@ -791,7 +748,8 @@ double MTreeBackend::SubtreeMaxDist(MNodeIndex node_index,
 }
 
 Status MTreeBackend::CheckSubtree(MNodeIndex node_index, size_t depth,
-                                  size_t* leaf_depth, size_t* objects_seen) {
+                                  size_t* leaf_depth,
+                                  size_t* objects_seen) const {
   const MNode& node = nodes_[node_index];
   if (node.is_leaf) {
     if (*leaf_depth == 0) {
@@ -847,8 +805,7 @@ Status MTreeBackend::CheckSubtree(MNodeIndex node_index, size_t depth,
   return Status::OK();
 }
 
-Status MTreeBackend::CheckInvariants() {
-  if (!finalized_) Finalize();
+Status MTreeBackend::CheckInvariants() const {
   size_t leaf_depth = 0;
   size_t objects_seen = 0;
   MSQ_RETURN_IF_ERROR(CheckSubtree(root_, 1, &leaf_depth, &objects_seen));

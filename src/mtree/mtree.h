@@ -81,16 +81,13 @@ class MTreeBackend : public QueryBackend {
       std::shared_ptr<const Dataset> dataset,
       std::shared_ptr<const Metric> metric, const MTreeOptions& options);
 
-  /// Inserts one dataset object.
+  /// Inserts one dataset object and rebuilds the page layout, so the tree
+  /// is queryable on return.
   Status Insert(ObjectId id);
 
   /// Persists the index structure (routing objects, radii, parent
   /// distances — not the objects themselves) to a binary file.
   Status Save(const std::string& path);
-
-  /// Serializes the index structure to a stream (the format behind Save;
-  /// also what the single-file page store embeds as its "index" object).
-  Status SaveTo(std::ostream& out);
 
   /// Restores an index saved with Save. The dataset (and metric!) must be
   /// the ones the index was built with; size and dimensionality are
@@ -110,24 +107,24 @@ class MTreeBackend : public QueryBackend {
   std::unique_ptr<CandidateStream> OpenStream(const Query& query,
                                               QueryStats* stats) override;
   double PageMinDist(PageId page, const Query& q, QueryStats* stats) override;
-  const std::vector<ObjectId>& ReadPage(PageId page,
-                                        QueryStats* stats) override;
-  StatusOr<const std::vector<ObjectId>*> ReadPageChecked(
-      PageId page, QueryStats* stats) override;
   Status ReadPageBlockChecked(PageId page, QueryStats* stats,
-                              PageBlock* out) override;
-  DataLayout* MutableLayout() override;
+                              PageBlock* out) override {
+    return layout_.TryReadBlock(page, stats, out);
+  }
+  DataLayout* MutableLayout() override { return &layout_; }
+  /// Serializes the index structure to a stream (the format behind Save;
+  /// also what the single-file page store embeds as its "index" object).
   Status SaveIndex(std::ostream& out) override;
-  size_t NumDataPages() const override;
+  size_t NumDataPages() const override { return layout_.num_pages(); }
   size_t NumObjects() const override { return dataset_->size(); }
   const Vec& ObjectVec(ObjectId id) const override {
     return dataset_->object(id);
   }
-  void ResetIoState() override;
+  void ResetIoState() override { layout_.ResetIoState(); }
   void NoteFailedRead(QueryStats* stats) override {
     layout_.NoteFailedRead(stats);
   }
-  /// Remembered so the lazy Finalize() (which rebuilds layout_ wholesale)
+  /// Remembered so Insert's Finalize() (which rebuilds layout_ wholesale)
   /// can re-attach the sink to the new buffer pool.
   void SetMetricsSink(const obs::MetricsSink* sink) override {
     metrics_sink_ = sink;
@@ -144,7 +141,7 @@ class MTreeBackend : public QueryBackend {
 
   /// Verifies covering radii, parent distances, uniform leaf depth,
   /// capacity bounds, and the object partition.
-  Status CheckInvariants();
+  Status CheckInvariants() const;
 
  private:
   MTreeBackend(std::shared_ptr<const Dataset> dataset,
@@ -155,6 +152,8 @@ class MTreeBackend : public QueryBackend {
   double Dist(ObjectId a, ObjectId b) const;
   double DistToVec(const Vec& v, ObjectId b) const;
 
+  /// Insert without the layout rebuild (Build finalizes once).
+  void InsertObject(ObjectId id);
   void InsertIntoLeaf(MNodeIndex leaf, ObjectId id, double dist_to_routing);
   void SplitNode(MNodeIndex node);
   /// Picks the two promoted positions among the split candidates, given
@@ -162,12 +161,15 @@ class MTreeBackend : public QueryBackend {
   std::pair<size_t, size_t> Promote(const std::vector<double>& pairwise,
                                     size_t count, ObjectId old_routing,
                                     const std::vector<ObjectId>& entry_objs);
+  /// Assigns leaf pages in DFS order and rebuilds the data layout (and the
+  /// hyper-rings, when pivots are attached). Every factory and Insert ends
+  /// with it; reads never call it.
   void Finalize();
   /// Rebuilds every subtree's hyper-rings from pivots_ (post-order, no
   /// distance computations). No-op without an attached table.
   void BuildRings(MNodeIndex node);
   Status CheckSubtree(MNodeIndex node, size_t depth, size_t* leaf_depth,
-                      size_t* objects_seen);
+                      size_t* objects_seen) const;
   /// Max distance from `routing` to anything in the subtree (exact,
   /// for the invariant checker).
   double SubtreeMaxDist(MNodeIndex node, ObjectId routing) const;
@@ -182,7 +184,6 @@ class MTreeBackend : public QueryBackend {
   size_t num_objects_indexed_ = 0;
 
   std::shared_ptr<const PivotTable> pivots_;
-  bool finalized_ = false;
   DataLayout layout_;
   const obs::MetricsSink* metrics_sink_ = nullptr;
   std::vector<MNodeIndex> page_to_node_;

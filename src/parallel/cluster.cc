@@ -150,7 +150,6 @@ StatusOr<std::unique_ptr<SharedNothingCluster>> SharedNothingCluster::Create(
 
   cluster->retry_ = options.retry;
   cluster->breaker_ = options.breaker;
-  cluster->partial_results_ = options.partial_results;
   if (options.use_threads) {
     if (options.shared_pool != nullptr) {
       cluster->pool_ = options.shared_pool;
@@ -524,19 +523,8 @@ StatusOr<std::vector<AnswerSet>> SharedNothingCluster::ExecuteMultipleAll(
   CallOutcome out;
   RunPartitions(queries, &out);
 
-  const size_t survivors = static_cast<size_t>(
-      std::count_if(out.partition_status.begin(), out.partition_status.end(),
-                    [](const Status& st) { return st.ok(); }));
-  if (partial_results_) {
-    // Graceful degradation: serve from the surviving partitions; only a
-    // total outage fails the call.
-    if (survivors == 0 && !partitions_.empty()) {
-      return AggregateFailures(out.partition_status);
-    }
-    return MergePartitions(queries, out.partition_answers,
-                           out.partition_status);
-  }
-  if (survivors != partitions_.size()) {
+  if (!std::all_of(out.partition_status.begin(), out.partition_status.end(),
+                   [](const Status& st) { return st.ok(); })) {
     return AggregateFailures(out.partition_status);
   }
   return MergePartitions(queries, out.partition_answers, out.partition_status);

@@ -102,11 +102,6 @@ struct ClusterOptions {
   ClusterRetryPolicy retry;
   /// Consecutive-failure circuit breaker applied per server.
   CircuitBreakerOptions breaker;
-  /// Graceful degradation: when true, ExecuteMultipleAll merges the
-  /// answers of the surviving partitions instead of failing the whole
-  /// call — it fails only when *every* partition is lost. Use
-  /// ExecuteMultipleAllPartial to learn which partitions are missing.
-  bool partial_results = false;
   /// Per-server fault injectors (robust/fault_injector.h): entry i wraps
   /// the backend of every replica database *hosted on* server i, so
   /// crashing injector i takes down the whole server, not one partition.
@@ -182,11 +177,9 @@ class SharedNothingCluster {
   /// global. A server failing past its retry budget triggers failover:
   /// its partitions are re-issued to live replicas, so the call succeeds
   /// with answers bit-identical to the fault-free run whenever one
-  /// replica of every partition survives. Strict by default: any *lost
-  /// partition* (all replicas down) fails the call with a status naming
-  /// every lost partition. With ClusterOptions::partial_results it
-  /// degrades instead — merging the survivors and failing only when no
-  /// partition survived.
+  /// replica of every partition survives. Strict: any *lost partition*
+  /// (all replicas down) fails the call with a status naming every lost
+  /// partition; ExecuteMultipleAllPartial is the degrading counterpart.
   StatusOr<std::vector<AnswerSet>> ExecuteMultipleAll(
       const std::vector<Query>& queries);
 
@@ -332,7 +325,6 @@ class SharedNothingCluster {
   ThreadPool* pool_ = nullptr;              // null: sequential execution
   ClusterRetryPolicy retry_;
   CircuitBreakerOptions breaker_;
-  bool partial_results_ = false;
   std::atomic<uint64_t> retries_attempted_{0};
   std::atomic<uint64_t> failovers_{0};
 

@@ -174,33 +174,17 @@ uint64_t FaultInjector::spikes_injected() const {
 }
 
 FaultInjectingBackend::FaultInjectingBackend(
-    QueryBackend* inner, std::shared_ptr<FaultInjector> injector)
-    : inner_(inner), injector_(std::move(injector)) {}
-
-FaultInjectingBackend::FaultInjectingBackend(
     std::unique_ptr<QueryBackend> inner,
     std::shared_ptr<FaultInjector> injector)
-    : inner_(inner.get()),
-      owned_(std::move(inner)),
-      injector_(std::move(injector)) {}
-
-StatusOr<const std::vector<ObjectId>*> FaultInjectingBackend::ReadPageChecked(
-    PageId page, QueryStats* stats) {
-  Status st = injector_->OnPageRead(page);
-  if (!st.ok()) {
-    // The seek was attempted: charge it, and leave the simulated head
-    // position unknown so the next successful read is a random access.
-    inner_->NoteFailedRead(stats);
-    return st;
-  }
-  return inner_->ReadPageChecked(page, stats);
-}
+    : inner_(std::move(inner)), injector_(std::move(injector)) {}
 
 Status FaultInjectingBackend::ReadPageBlockChecked(PageId page,
                                                    QueryStats* stats,
                                                    PageBlock* out) {
   Status st = injector_->OnPageRead(page);
   if (!st.ok()) {
+    // The seek was attempted: charge it, and leave the simulated head
+    // position unknown so the next successful read is a random access.
     inner_->NoteFailedRead(stats);
     return st;
   }

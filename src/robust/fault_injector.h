@@ -10,8 +10,8 @@
 // tests assert exact outcomes instead of sleeping and hoping.
 //
 // FaultInjectingBackend wraps any QueryBackend; the engines reach it only
-// through QueryBackend::ReadPageChecked, so a backend without the decorator
-// pays nothing (the default ReadPageChecked inlines to ReadPage).
+// through the one page read, QueryBackend::ReadPageBlockChecked, so a
+// backend without the decorator pays nothing.
 
 #ifndef MSQ_ROBUST_FAULT_INJECTOR_H_
 #define MSQ_ROBUST_FAULT_INJECTOR_H_
@@ -148,10 +148,7 @@ class FaultInjector {
 /// verifies the overhead is a mutex acquisition per page read).
 class FaultInjectingBackend : public QueryBackend {
  public:
-  /// Borrowing: `inner` must outlive this decorator.
-  FaultInjectingBackend(QueryBackend* inner,
-                        std::shared_ptr<FaultInjector> injector);
-  /// Owning: takes over the wrapped backend's lifetime.
+  /// Takes over the wrapped backend's lifetime.
   FaultInjectingBackend(std::unique_ptr<QueryBackend> inner,
                         std::shared_ptr<FaultInjector> injector);
 
@@ -163,12 +160,6 @@ class FaultInjectingBackend : public QueryBackend {
   double PageMinDist(PageId page, const Query& q, QueryStats* stats) override {
     return inner_->PageMinDist(page, q, stats);
   }
-  const std::vector<ObjectId>& ReadPage(PageId page,
-                                        QueryStats* stats) override {
-    return inner_->ReadPage(page, stats);
-  }
-  StatusOr<const std::vector<ObjectId>*> ReadPageChecked(
-      PageId page, QueryStats* stats) override;
   Status ReadPageBlockChecked(PageId page, QueryStats* stats,
                               PageBlock* out) override;
   size_t NumDataPages() const override { return inner_->NumDataPages(); }
@@ -194,8 +185,7 @@ class FaultInjectingBackend : public QueryBackend {
   FaultInjector* injector() const { return injector_.get(); }
 
  private:
-  QueryBackend* inner_;                    // the wrapped backend
-  std::unique_ptr<QueryBackend> owned_;    // set only by the owning ctor
+  std::unique_ptr<QueryBackend> inner_;
   std::shared_ptr<FaultInjector> injector_;
 };
 

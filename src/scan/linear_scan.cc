@@ -68,11 +68,6 @@ double LinearScanBackend::PageMinDist(PageId page, const Query& q,
   return 0.0;  // No approximation information: every page may qualify.
 }
 
-const std::vector<ObjectId>& LinearScanBackend::ReadPage(PageId page,
-                                                         QueryStats* stats) {
-  return layout_.Read(page, stats);
-}
-
 Status LinearScanBackend::SaveIndex(std::ostream& out) {
   MSQ_RETURN_IF_ERROR(WriteU32(out, kScanMagic));
   MSQ_RETURN_IF_ERROR(WriteU32(out, kScanVersion));

@@ -177,11 +177,6 @@ double VaFileBackend::PageMinDist(PageId page, const Query& q,
   return box_metric_->MinDistToBox(q.point, page_lo_[page], page_hi_[page]);
 }
 
-const std::vector<ObjectId>& VaFileBackend::ReadPage(PageId page,
-                                                     QueryStats* stats) {
-  return layout_.Read(page, stats);
-}
-
 Status VaFileBackend::SaveIndex(std::ostream& out) {
   MSQ_RETURN_IF_ERROR(WriteU32(out, kVaFileMagic));
   MSQ_RETURN_IF_ERROR(WriteU32(out, kVaFileVersion));

@@ -53,14 +53,6 @@ class VaFileBackend : public QueryBackend {
   std::unique_ptr<CandidateStream> OpenStream(const Query& query,
                                               QueryStats* stats) override;
   double PageMinDist(PageId page, const Query& q, QueryStats* stats) override;
-  const std::vector<ObjectId>& ReadPage(PageId page,
-                                        QueryStats* stats) override;
-  StatusOr<const std::vector<ObjectId>*> ReadPageChecked(
-      PageId page, QueryStats* stats) override {
-    const std::vector<ObjectId>* out = nullptr;
-    MSQ_RETURN_IF_ERROR(layout_.TryRead(page, stats, &out));
-    return out;
-  }
   Status ReadPageBlockChecked(PageId page, QueryStats* stats,
                               PageBlock* out) override {
     return layout_.TryReadBlock(page, stats, out);

@@ -83,49 +83,14 @@ void DataLayout::MaterializeRows(size_t dim, const std::vector<Vec>& objects) {
   }
 }
 
-const std::vector<ObjectId>& DataLayout::Read(PageId page, QueryStats* stats) {
-  assert(page < pages_.size());
-  if (store_ != nullptr) {
-    // Store mode: the page id list is resident metadata, so even a failed
-    // payload read (already charged by TryRead) can return it; fallible
-    // callers use TryRead to observe the error.
-    const std::vector<ObjectId>* out = nullptr;
-    TryRead(page, stats, &out);
-    return pages_[page];
-  }
-  if (!buffer_.Access(page, stats)) {
-    disk_.RecordRead(page, stats);
-  }
-  return pages_[page];
-}
-
-void DataLayout::ReadBlock(PageId page, QueryStats* stats, PageBlock* out) {
-  assert(page < pages_.size() && page < row_data_.size());
-  if (store_ != nullptr) {
-    // Store mode: rows only exist if the payload read succeeds; callers on
-    // the fallible path use TryReadBlock. A failure here yields an empty
-    // block rather than dangling pointers.
-    const Status st = TryReadBlock(page, stats, out);
-    assert(st.ok());
-    if (!st.ok()) *out = PageBlock{};
-    return;
-  }
-  if (!buffer_.Access(page, stats)) {
-    disk_.RecordRead(page, stats);
-  }
-  const std::vector<ObjectId>& ids = pages_[page];
-  out->ids = ids.data();
-  out->vecs = VecBlock{row_data_[page].data(), dim_, ids.size(),
-                       tile_data_[page].data()};
-}
-
 Status DataLayout::TryRead(PageId page, QueryStats* stats,
                            const std::vector<ObjectId>** out) {
   if (page >= pages_.size()) {
     return Status::InvalidArgument("page id out of range");
   }
   if (store_ == nullptr) {
-    *out = &Read(page, stats);
+    if (!buffer_.Access(page, stats)) disk_.RecordRead(page, stats);
+    *out = &pages_[page];
     return Status::OK();
   }
   if (!buffer_.Lookup(page, stats)) {

@@ -49,7 +49,7 @@ class DataLayout {
                                size_t buffer_pages);
 
   /// Packs each page's object vectors into a contiguous row-major block so
-  /// ReadBlock can hand out PageBlock views. `objects[id]` must be the
+  /// TryReadBlock can hand out PageBlock views. `objects[id]` must be the
   /// vector of object `id` (every id stored in the layout), all of size
   /// `dim`. Idempotent: re-invoke after the page map changes (tree
   /// re-finalization).
@@ -58,26 +58,18 @@ class DataLayout {
   /// True once MaterializeRows has run for the current page map.
   bool has_rows() const { return !row_data_.empty() || pages_.empty(); }
 
-  /// Objects stored on `page`. Charges the access (buffer hit or disk read)
-  /// to `stats`.
-  const std::vector<ObjectId>& Read(PageId page, QueryStats* stats);
-
-  /// Contiguous view of `page` (requires MaterializeRows). Charges the
-  /// access exactly like Read — one page access, whether the caller takes
-  /// the id list or the packed rows.
-  void ReadBlock(PageId page, QueryStats* stats, PageBlock* out);
-
-  /// Fallible read: like Read, but when a persistent store is attached the
-  /// page payload comes from a real positioned read whose failure (I/O
-  /// error, checksum mismatch) is surfaced instead of asserted away. On
-  /// failure the page is NOT left resident in the buffer pool — a retry is
-  /// a true miss that re-reads. Without a store this is Read() and always
-  /// succeeds.
+  /// Objects stored on `page`. Charges the access (buffer hit or disk
+  /// read) to `stats`. When a persistent store is attached the page
+  /// payload comes from a real positioned read whose failure (I/O error,
+  /// checksum mismatch) is surfaced; on failure the page is NOT left
+  /// resident in the buffer pool — a retry is a true miss that re-reads.
+  /// Without a store this always succeeds.
   Status TryRead(PageId page, QueryStats* stats,
                  const std::vector<ObjectId>** out);
 
-  /// Fallible counterpart of ReadBlock, same store semantics as TryRead.
-  /// The returned view is valid until the next read on this layout.
+  /// Contiguous view of `page` (requires MaterializeRows): TryRead plus the
+  /// packed rows, charged as the same single page access. The returned
+  /// view is valid until the next read on this layout.
   Status TryReadBlock(PageId page, QueryStats* stats, PageBlock* out);
 
   /// Writes every page's payload (ids + packed rows) as extents of `store`
@@ -150,8 +142,8 @@ class DataLayout {
   /// empty until MaterializeRows.
   std::vector<std::vector<Scalar>> row_data_;
   /// Per-page tile-major mirror of row_data_ (see VecBlock::tiles), built
-  /// alongside it so ReadBlock hands out blocks the ISA-cloned kernels can
-  /// stream at full vector width.
+  /// alongside it so TryReadBlock hands out blocks the ISA-cloned kernels
+  /// can stream at full vector width.
   std::vector<std::vector<Scalar>> tile_data_;
   size_t dim_ = 0;
   std::vector<PageId> page_of_;

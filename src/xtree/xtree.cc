@@ -67,6 +67,7 @@ StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::BulkLoad(
   auto tree = std::unique_ptr<XTreeBackend>(
       new XTreeBackend(std::move(dataset), std::move(metric), box, opts));
   tree->BulkBuild();
+  tree->Finalize();
   return tree;
 }
 
@@ -95,9 +96,8 @@ StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::BuildByInsertion(
   const size_t n = dataset->size();
   auto tree = std::unique_ptr<XTreeBackend>(
       new XTreeBackend(std::move(dataset), std::move(metric), box, opts));
-  for (ObjectId id = 0; id < n; ++id) {
-    MSQ_RETURN_IF_ERROR(tree->Insert(id));
-  }
+  for (ObjectId id = 0; id < n; ++id) tree->InsertObject(id);
+  tree->Finalize();
   return tree;
 }
 
@@ -133,12 +133,16 @@ Status XTreeBackend::Insert(ObjectId id) {
     // extents; the persistent store is read-only by design.
     return Status::NotSupported("cannot insert into a persistent store");
   }
-  MarkDirty();
+  InsertObject(id);
+  Finalize();
+  return Status::OK();
+}
+
+void XTreeBackend::InsertObject(ObjectId id) {
   const Vec& p = dataset_->object(id);
   const XNodeIndex leaf = ChooseSubtree(p);
   InsertIntoLeaf(leaf, id, /*may_reinsert=*/options_.enable_reinsert);
   ++num_objects_indexed_;
-  return Status::OK();
 }
 
 XNodeIndex XTreeBackend::ChooseSubtree(const Vec& p) const {
@@ -444,7 +448,7 @@ constexpr uint32_t kXTreeMagic = 0x4d535158;  // "MSQX"
 constexpr uint32_t kXTreeVersion = 1;
 }  // namespace
 
-Status XTreeBackend::SaveTo(std::ostream& out) {
+Status XTreeBackend::SaveIndex(std::ostream& out) {
   MSQ_RETURN_IF_ERROR(WriteU32(out, kXTreeMagic));
   MSQ_RETURN_IF_ERROR(WriteU32(out, kXTreeVersion));
   MSQ_RETURN_IF_ERROR(WriteU32(out, static_cast<uint32_t>(dataset_->dim())));
@@ -476,7 +480,7 @@ Status XTreeBackend::SaveTo(std::ostream& out) {
 Status XTreeBackend::Save(const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IOError("cannot open " + path + " for writing");
-  MSQ_RETURN_IF_ERROR(SaveTo(out));
+  MSQ_RETURN_IF_ERROR(SaveIndex(out));
   if (!out) return Status::IOError("write failed for " + path);
   return Status::OK();
 }
@@ -570,7 +574,7 @@ StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::LoadFrom(
   }
   tree->root_ = root;
   tree->num_objects_indexed_ = indexed;
-  tree->MarkDirty();
+  tree->Finalize();
   MSQ_RETURN_IF_ERROR(tree->CheckInvariants());
   return tree;
 }
@@ -618,7 +622,6 @@ void XTreeBackend::BulkBuild() {
   root_ = level.front();
   nodes_[root_].parent = kInvalidNode;
   num_objects_indexed_ = dataset_->size();
-  MarkDirty();
 }
 
 std::vector<XNodeIndex> XTreeBackend::BulkLeaves(std::vector<ObjectId>* ids) {
@@ -778,7 +781,6 @@ void XTreeBackend::Finalize() {
   layout_ = DataLayout::FromGroups(std::move(groups), buffer_pages);
   layout_.MaterializeRows(dataset_->dim(), dataset_->objects());
   layout_.SetMetricsSink(metrics_sink_);
-  finalized_ = true;
 }
 
 namespace {
@@ -835,7 +837,6 @@ class XTreeStream : public CandidateStream {
 std::unique_ptr<CandidateStream> XTreeBackend::OpenStream(const Query& query,
                                                           QueryStats* stats) {
   (void)stats;  // Directory traversal performs no metered operations.
-  if (!finalized_) Finalize();
   return std::make_unique<XTreeStream>(&nodes_, root_, query.point,
                                        box_metric_);
 }
@@ -843,53 +844,8 @@ std::unique_ptr<CandidateStream> XTreeBackend::OpenStream(const Query& query,
 double XTreeBackend::PageMinDist(PageId page, const Query& q,
                                  QueryStats* stats) {
   (void)stats;
-  if (!finalized_) Finalize();
   assert(page < page_to_node_.size());
   return nodes_[page_to_node_[page]].mbr.MinDist(q.point, *box_metric_);
-}
-
-const std::vector<ObjectId>& XTreeBackend::ReadPage(PageId page,
-                                                    QueryStats* stats) {
-  if (!finalized_) Finalize();
-  return layout_.Read(page, stats);
-}
-
-StatusOr<const std::vector<ObjectId>*> XTreeBackend::ReadPageChecked(
-    PageId page, QueryStats* stats) {
-  if (!finalized_) Finalize();
-  const std::vector<ObjectId>* out = nullptr;
-  MSQ_RETURN_IF_ERROR(layout_.TryRead(page, stats, &out));
-  return out;
-}
-
-Status XTreeBackend::ReadPageBlockChecked(PageId page, QueryStats* stats,
-                                          PageBlock* out) {
-  if (!finalized_) Finalize();
-  return layout_.TryReadBlock(page, stats, out);
-}
-
-DataLayout* XTreeBackend::MutableLayout() {
-  if (!finalized_) Finalize();
-  return &layout_;
-}
-
-Status XTreeBackend::SaveIndex(std::ostream& out) {
-  // Finalize first so the saved node -> page assignment is the one the
-  // persisted data pages use.
-  if (!finalized_) Finalize();
-  return SaveTo(out);
-}
-
-size_t XTreeBackend::NumDataPages() const {
-  // Every leaf is one data page whether or not pages are assigned yet.
-  size_t count = 0;
-  for (const XNode& n : nodes_) count += n.is_leaf ? 1 : 0;
-  return count;
-}
-
-void XTreeBackend::ResetIoState() {
-  if (!finalized_) Finalize();
-  layout_.ResetIoState();
 }
 
 XTreeShape XTreeBackend::Shape() const {
@@ -922,8 +878,7 @@ XTreeShape XTreeBackend::Shape() const {
   return shape;
 }
 
-Status XTreeBackend::CheckInvariants() {
-  if (!finalized_) Finalize();
+Status XTreeBackend::CheckInvariants() const {
   // Uniform leaf depth + parent/MBR consistency.
   std::vector<std::pair<XNodeIndex, size_t>> stack{{root_, 0}};
   size_t leaf_depth = 0;

@@ -76,17 +76,13 @@ class XTreeBackend : public QueryBackend {
       std::shared_ptr<const Dataset> dataset,
       std::shared_ptr<const Metric> metric, const XTreeOptions& options);
 
-  /// Inserts one dataset object (id must be valid for the dataset). The
-  /// tree re-finalizes its page layout lazily before the next query.
+  /// Inserts one dataset object (id must be valid for the dataset) and
+  /// rebuilds the page layout, so the tree is queryable on return.
   Status Insert(ObjectId id);
 
   /// Persists the index structure (not the objects — those live in the
   /// dataset) to a binary file.
   Status Save(const std::string& path);
-
-  /// Serializes the index structure to a stream (the format behind Save;
-  /// also what the single-file page store embeds as its "index" object).
-  Status SaveTo(std::ostream& out);
 
   /// Restores an index saved with Save. The dataset must be the one the
   /// index was built over (size and dimensionality are verified).
@@ -104,24 +100,24 @@ class XTreeBackend : public QueryBackend {
   std::unique_ptr<CandidateStream> OpenStream(const Query& query,
                                               QueryStats* stats) override;
   double PageMinDist(PageId page, const Query& q, QueryStats* stats) override;
-  const std::vector<ObjectId>& ReadPage(PageId page,
-                                        QueryStats* stats) override;
-  StatusOr<const std::vector<ObjectId>*> ReadPageChecked(
-      PageId page, QueryStats* stats) override;
   Status ReadPageBlockChecked(PageId page, QueryStats* stats,
-                              PageBlock* out) override;
-  DataLayout* MutableLayout() override;
+                              PageBlock* out) override {
+    return layout_.TryReadBlock(page, stats, out);
+  }
+  DataLayout* MutableLayout() override { return &layout_; }
+  /// Serializes the index structure to a stream (the format behind Save;
+  /// also what the single-file page store embeds as its "index" object).
   Status SaveIndex(std::ostream& out) override;
-  size_t NumDataPages() const override;
+  size_t NumDataPages() const override { return layout_.num_pages(); }
   size_t NumObjects() const override { return dataset_->size(); }
   const Vec& ObjectVec(ObjectId id) const override {
     return dataset_->object(id);
   }
-  void ResetIoState() override;
+  void ResetIoState() override { layout_.ResetIoState(); }
   void NoteFailedRead(QueryStats* stats) override {
     layout_.NoteFailedRead(stats);
   }
-  /// Remembered so the lazy Finalize() (which rebuilds layout_ wholesale)
+  /// Remembered so Insert's Finalize() (which rebuilds layout_ wholesale)
   /// can re-attach the sink to the new buffer pool.
   void SetMetricsSink(const obs::MetricsSink* sink) override {
     metrics_sink_ = sink;
@@ -133,7 +129,7 @@ class XTreeBackend : public QueryBackend {
 
   /// Verifies MBR containment, parent/child consistency, uniform leaf
   /// depth, capacity bounds, and the object partition.
-  Status CheckInvariants();
+  Status CheckInvariants() const;
 
  private:
   XTreeBackend(std::shared_ptr<const Dataset> dataset,
@@ -143,6 +139,8 @@ class XTreeBackend : public QueryBackend {
   friend class XTreeStream;
 
   // Dynamic-insertion internals.
+  /// Insert without the layout rebuild (the factories finalize once).
+  void InsertObject(ObjectId id);
   XNodeIndex ChooseSubtree(const Vec& p) const;
   void InsertIntoLeaf(XNodeIndex leaf, ObjectId id, bool may_reinsert);
   void HandleLeafOverflow(XNodeIndex leaf, bool may_reinsert);
@@ -162,9 +160,9 @@ class XTreeBackend : public QueryBackend {
   std::vector<XNodeIndex> BulkLeaves(std::vector<ObjectId>* ids);
   std::vector<XNodeIndex> BulkGroup(std::vector<XNodeIndex>* children);
 
-  /// Assigns leaf pages in DFS order and rebuilds the data layout.
+  /// Assigns leaf pages in DFS order and rebuilds the data layout. Every
+  /// factory and Insert ends with it; reads never call it.
   void Finalize();
-  void MarkDirty() { finalized_ = false; }
 
   std::shared_ptr<const Dataset> dataset_;
   std::shared_ptr<const Metric> metric_;
@@ -175,7 +173,6 @@ class XTreeBackend : public QueryBackend {
   XNodeIndex root_ = kInvalidNode;
   size_t num_objects_indexed_ = 0;
 
-  bool finalized_ = false;
   DataLayout layout_;
   const obs::MetricsSink* metrics_sink_ = nullptr;
   std::vector<XNodeIndex> page_to_node_;

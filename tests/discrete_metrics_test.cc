@@ -36,7 +36,9 @@ TEST(HammingTest, MetricAxiomsOnRandomCodes) {
     EXPECT_DOUBLE_EQ(m.Distance(a, a), 0.0);
     EXPECT_DOUBLE_EQ(m.Distance(a, b), m.Distance(b, a));
     EXPECT_LE(m.Distance(a, c), m.Distance(a, b) + m.Distance(b, c));
-    if (a != b) EXPECT_GT(m.Distance(a, b), 0.0);
+    if (a != b) {
+      EXPECT_GT(m.Distance(a, b), 0.0);
+    }
   }
 }
 

@@ -67,7 +67,9 @@ TEST_P(MetricAxiomsTest, NonNegativityAndPositivity) {
     const Vec b = RandomVec(&rng, 8);
     const double d = metric->Distance(a, b);
     EXPECT_GE(d, 0.0);
-    if (a != b) EXPECT_GT(d, 0.0);
+    if (a != b) {
+      EXPECT_GT(d, 0.0);
+    }
   }
 }
 

@@ -936,8 +936,8 @@ TEST(DurabilityStressTest, MonitorAccessorsRaceAutoCheckpointWalSwaps) {
 // keeps querying a reopened, store-backed database. A checkpoint that saved
 // the reader's stale base instead of the writer's own fails ("already
 // backed by a page store") and detaches the WAL, or persists stale
-// contents; a lazily finalized tree base must not be finalized by reader
-// and writer at once.
+// contents. The X-tree case also races the reader's page reads against
+// the checkpoint's save of the same tree, which must both only read it.
 TEST(DurabilityStressTest, CheckpointsIgnoreTheReadersSnapshot) {
   const Dataset base = MakeUniformDataset(2000, 8, 151);
   const Dataset adds = MakeUniformDataset(64, 8, 152);

@@ -78,7 +78,6 @@ struct FailoverConfig {
   size_t replication_factor = 2;
   ClusterRetryPolicy retry;
   CircuitBreakerOptions breaker;
-  bool partial_results = false;
   const obs::MetricsSink* metrics = nullptr;
 };
 
@@ -95,7 +94,6 @@ FailoverFixture MakeReplicatedCluster(uint64_t seed,
   options.server_options.page_size_bytes = 2048;
   options.retry = cfg.retry;
   options.breaker = cfg.breaker;
-  options.partial_results = cfg.partial_results;
   options.metrics = cfg.metrics;
   robust::FaultPlan plan;
   plan.metrics = nullptr;

@@ -1,8 +1,8 @@
 // Tests for the batched distance-kernel execution layer: bit-exactness of
 // Metric::BatchDistance against the scalar Distance path, CountingMetric
-// batch accounting, the PageBlock read path of every backend (including the
-// default gather fallback), the PageKernel itself, and cost-count
-// equivalence of the batched engines against the scalar reference mode.
+// batch accounting, the PageBlock read path of every backend, the
+// PageKernel itself, and cost-count equivalence of the batched engines
+// against the scalar reference mode.
 
 #include <limits>
 #include <memory>
@@ -151,8 +151,8 @@ struct BackendCase {
 class KernelBlockReadTest : public ::testing::TestWithParam<BackendCase> {};
 
 // ReadPageBlockChecked must return, for every page of every backend, the
-// same ids as ReadPage and rows identical to the objects' vectors — with
-// a tile mirror consistent with the row data.
+// ids the page layout stores and rows identical to the objects' vectors —
+// with a tile mirror consistent with the row data.
 TEST_P(KernelBlockReadTest, BlockMatchesObjectVectors) {
   DatabaseOptions options;
   options.backend = GetParam().kind;
@@ -162,15 +162,11 @@ TEST_P(KernelBlockReadTest, BlockMatchesObjectVectors) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   QueryBackend& backend = (*db)->backend();
 
-  // Trees finalize their layout lazily on first access.
-  QueryStats warm;
-  backend.ReadPage(0, &warm);
-
   for (PageId page = 0; page < backend.NumDataPages(); ++page) {
     QueryStats stats;
     PageBlock block;
     ASSERT_TRUE(backend.ReadPageBlockChecked(page, &stats, &block).ok());
-    const std::vector<ObjectId>& ids = backend.ReadPage(page, &stats);
+    const std::vector<ObjectId>& ids = backend.MutableLayout()->Peek(page);
     ASSERT_EQ(block.size(), ids.size());
     for (size_t i = 0; i < ids.size(); ++i) {
       EXPECT_EQ(block.ids[i], ids[i]);
@@ -201,63 +197,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BackendCase>& info) {
       return BackendKindName(info.param.kind);
     });
-
-/// Forwards everything to an inner backend but deliberately does NOT
-/// override ReadPageBlockChecked — exercising QueryBackend's default
-/// gather implementation.
-class ForwardingBackend : public QueryBackend {
- public:
-  explicit ForwardingBackend(QueryBackend* inner) : inner_(inner) {}
-  std::string Name() const override { return "forwarding"; }
-  std::unique_ptr<CandidateStream> OpenStream(const Query& query,
-                                              QueryStats* stats) override {
-    return inner_->OpenStream(query, stats);
-  }
-  double PageMinDist(PageId page, const Query& q, QueryStats* stats) override {
-    return inner_->PageMinDist(page, q, stats);
-  }
-  const std::vector<ObjectId>& ReadPage(PageId page,
-                                        QueryStats* stats) override {
-    return inner_->ReadPage(page, stats);
-  }
-  size_t NumDataPages() const override { return inner_->NumDataPages(); }
-  size_t NumObjects() const override { return inner_->NumObjects(); }
-  const Vec& ObjectVec(ObjectId id) const override {
-    return inner_->ObjectVec(id);
-  }
-  void ResetIoState() override { inner_->ResetIoState(); }
-
- private:
-  QueryBackend* inner_;
-};
-
-// The default (gather) ReadPageBlockChecked must produce the same rows as
-// a backend's contiguous-storage override; it carries no tile mirror.
-TEST(KernelBlockReadTest, DefaultGatherFallback) {
-  DatabaseOptions options;
-  options.backend = BackendKind::kLinearScan;
-  options.page_size_bytes = 1024;
-  auto db = MetricDatabase::Open(MakeUniformDataset(300, 4, 13),
-                                 std::make_shared<EuclideanMetric>(), options);
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  ForwardingBackend fallback(&(*db)->backend());
-
-  for (PageId page = 0; page < fallback.NumDataPages(); ++page) {
-    QueryStats stats;
-    PageBlock direct, gathered;
-    ASSERT_TRUE(
-        (*db)->backend().ReadPageBlockChecked(page, &stats, &direct).ok());
-    ASSERT_TRUE(fallback.ReadPageBlockChecked(page, &stats, &gathered).ok());
-    ASSERT_EQ(direct.size(), gathered.size());
-    EXPECT_EQ(gathered.vecs.tiles, nullptr);
-    for (size_t i = 0; i < direct.size(); ++i) {
-      EXPECT_EQ(direct.ids[i], gathered.ids[i]);
-      for (size_t d = 0; d < direct.vecs.dim; ++d) {
-        EXPECT_EQ(direct.vecs.row(i)[d], gathered.vecs.row(i)[d]);
-      }
-    }
-  }
-}
 
 // PageKernel batched mode vs its scalar-reference mode on one block, no
 // avoidance: identical answer sets and identical dist_computations.

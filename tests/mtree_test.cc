@@ -188,7 +188,7 @@ TEST(MTreeTest, PageMinDistLowerBoundsObjectDistances) {
   Query q{9300, Vec(5, 0.4f), QueryType::Knn(3)};
   for (PageId p = 0; p < (*tree)->NumDataPages(); ++p) {
     const double lb = (*tree)->PageMinDist(p, q, nullptr);
-    for (ObjectId id : (*tree)->ReadPage(p, nullptr)) {
+    for (ObjectId id : (*tree)->MutableLayout()->Peek(p)) {
       EXPECT_LE(lb, metric->Distance(q.point, dataset->object(id)) + 1e-9);
     }
   }

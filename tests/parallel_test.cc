@@ -156,8 +156,9 @@ TEST(ParallelTest, KnnMergeBreaksDistanceTiesDeterministically) {
   std::vector<Vec> objects;
   objects.reserve(kDistinct * kCopies);
   for (size_t i = 0; i < kDistinct; ++i) {
-    Vec point = {rng.NextDouble(0.0, 1.0), rng.NextDouble(0.0, 1.0),
-                 rng.NextDouble(0.0, 1.0)};
+    Vec point = {static_cast<Scalar>(rng.NextDouble(0.0, 1.0)),
+                 static_cast<Scalar>(rng.NextDouble(0.0, 1.0)),
+                 static_cast<Scalar>(rng.NextDouble(0.0, 1.0))};
     for (size_t c = 0; c < kCopies; ++c) objects.push_back(point);
   }
   Dataset dataset(3, std::move(objects));
@@ -220,8 +221,9 @@ TEST(ParallelTest, FailoverMergeIsBitIdenticalAcrossStrategies) {
   std::vector<Vec> objects;
   objects.reserve(kDistinct * kCopies);
   for (size_t i = 0; i < kDistinct; ++i) {
-    Vec point = {rng.NextDouble(0.0, 1.0), rng.NextDouble(0.0, 1.0),
-                 rng.NextDouble(0.0, 1.0)};
+    Vec point = {static_cast<Scalar>(rng.NextDouble(0.0, 1.0)),
+                 static_cast<Scalar>(rng.NextDouble(0.0, 1.0)),
+                 static_cast<Scalar>(rng.NextDouble(0.0, 1.0))};
     for (size_t c = 0; c < kCopies; ++c) objects.push_back(point);
   }
   Dataset dataset(3, std::move(objects));

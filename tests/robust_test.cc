@@ -291,8 +291,7 @@ struct ClusterFixture {
 };
 
 ClusterFixture MakeFaultyCluster(size_t servers, uint64_t seed,
-                                 ClusterRetryPolicy retry = {},
-                                 bool partial_results = false) {
+                                 ClusterRetryPolicy retry = {}) {
   ClusterFixture fx;
   fx.dataset = MakeUniformDataset(800, 4, seed);
   fx.metric = std::make_shared<EuclideanMetric>();
@@ -302,7 +301,6 @@ ClusterFixture MakeFaultyCluster(size_t servers, uint64_t seed,
   options.server_options.backend = BackendKind::kLinearScan;
   options.server_options.page_size_bytes = 2048;
   options.retry = retry;
-  options.partial_results = partial_results;
   robust::FaultPlan plan;
   plan.metrics = nullptr;
   for (size_t i = 0; i < servers; ++i) {
@@ -372,30 +370,6 @@ TEST(RobustClusterTest, StrictFailureNamesEveryFailedServer) {
   EXPECT_NE(msg.find("2 of 4 servers failed"), std::string::npos) << msg;
   EXPECT_NE(msg.find("server 1"), std::string::npos) << msg;
   EXPECT_NE(msg.find("server 3"), std::string::npos) << msg;
-}
-
-// partial_results mode: ExecuteMultipleAll itself degrades, failing only
-// on a total outage.
-TEST(RobustClusterTest, PartialResultsModeServesSurvivors) {
-  ClusterFixture fx =
-      MakeFaultyCluster(3, 1305, ClusterRetryPolicy{}, /*partial_results=*/true);
-  const std::vector<Query> queries = ClusterQueries(fx.dataset);
-  fx.injectors[2]->Crash();
-  auto got = fx.cluster->ExecuteMultipleAll(queries);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->size(), queries.size());
-
-  for (auto& injector : fx.injectors) injector->Crash();
-  // Fresh queries: the first batch's answers are still buffered on the
-  // surviving servers and would be served without touching the (now
-  // crashed) disks at all.
-  std::vector<Query> fresh = queries;
-  for (Query& q : fresh) q.id += 100;
-  auto all_down = fx.cluster->ExecuteMultipleAll(fresh);
-  ASSERT_FALSE(all_down.ok());
-  EXPECT_NE(all_down.status().message().find("3 of 3 servers failed"),
-            std::string::npos)
-      << all_down.status().message();
 }
 
 // A transient fault on one server succeeds after a bounded retry; the

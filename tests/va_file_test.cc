@@ -128,7 +128,7 @@ TEST(VaFileTest, PageMinDistIsSoundLowerBound) {
   Query q{1, Vec(5, 0.25f), QueryType::Knn(3)};
   for (PageId p = 0; p < (*va)->NumDataPages(); ++p) {
     const double lb = (*va)->PageMinDist(p, q, nullptr);
-    for (ObjectId id : (*va)->ReadPage(p, nullptr)) {
+    for (ObjectId id : (*va)->MutableLayout()->Peek(p)) {
       EXPECT_LE(lb, metric->Distance(q.point, dataset->object(id)) + 1e-9);
     }
   }

@@ -351,7 +351,7 @@ TEST(XTreeTest, PageMinDistLowerBoundsObjectDistances) {
   Query q{9003, Vec(5, 0.3f), QueryType::Knn(5)};
   for (PageId p = 0; p < (*tree)->NumDataPages(); ++p) {
     const double lb = (*tree)->PageMinDist(p, q, nullptr);
-    for (ObjectId id : (*tree)->ReadPage(p, nullptr)) {
+    for (ObjectId id : (*tree)->MutableLayout()->Peek(p)) {
       EXPECT_LE(lb,
                 metric->Distance(q.point, dataset->object(id)) + 1e-9);
     }
