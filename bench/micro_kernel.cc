@@ -113,38 +113,6 @@ bool BenchOneKernel(const NamedMetric& nm, size_t dim, size_t rows,
   return true;
 }
 
-/// Runs one workload block-wise on `db` and returns all answer sets.
-StatusOr<std::vector<AnswerSet>> RunAll(MetricDatabase* db, const Workload& w,
-                                        size_t m) {
-  db->ResetAll();
-  std::vector<AnswerSet> all;
-  for (size_t block = 0; block < w.queries.size(); block += m) {
-    const size_t end = std::min(w.queries.size(), block + m);
-    std::vector<Query> batch;
-    for (size_t i = block; i < end; ++i) {
-      batch.push_back(db->MakeObjectKnnQuery(w.queries[i], w.k));
-    }
-    auto got = db->MultipleSimilarityQueryAll(batch);
-    if (!got.ok()) return got.status();
-    for (auto& a : *got) all.push_back(std::move(a));
-  }
-  return all;
-}
-
-bool SameAnswers(const std::vector<AnswerSet>& a,
-                 const std::vector<AnswerSet>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].size() != b[i].size()) return false;
-    for (size_t j = 0; j < a[i].size(); ++j) {
-      if (a[i][j].id != b[i][j].id || a[i][j].distance != b[i][j].distance) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -201,15 +169,16 @@ int main(int argc, char** argv) {
         }
         scalar_db = std::move(db).value();
       }
-      auto batched = RunAll(batched_db.get(), w, static_cast<size_t>(m));
-      auto scalar = RunAll(scalar_db.get(), w, static_cast<size_t>(m));
+      const size_t width = static_cast<size_t>(m);
+      auto batched = CollectAnswers(batched_db.get(), w, width, true);
+      auto scalar = CollectAnswers(scalar_db.get(), w, width, true);
       if (!batched.ok() || !scalar.ok()) {
         std::fprintf(stderr, "equivalence run failed\n");
         return 1;
       }
       const QueryStats& bs = batched_db->stats();
       const QueryStats& ss = scalar_db->stats();
-      const bool answers_equal = SameAnswers(*batched, *scalar);
+      const bool answers_equal = *batched == *scalar;
       const bool counts_equal =
           bs.dist_computations == ss.dist_computations &&
           bs.triangle_avoided == ss.triangle_avoided;

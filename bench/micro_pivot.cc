@@ -43,52 +43,6 @@ std::unique_ptr<MetricDatabase> OpenPivotDb(const Workload& w,
   return std::move(db).value();
 }
 
-/// Runs the workload block-wise through the multiple-query engine and
-/// returns every answer set.
-StatusOr<std::vector<AnswerSet>> RunAll(MetricDatabase* db, const Workload& w,
-                                        size_t m) {
-  db->ResetAll();
-  std::vector<AnswerSet> all;
-  for (size_t block = 0; block < w.queries.size(); block += m) {
-    const size_t end = std::min(w.queries.size(), block + m);
-    std::vector<Query> batch;
-    for (size_t i = block; i < end; ++i) {
-      batch.push_back(db->MakeObjectKnnQuery(w.queries[i], w.k));
-    }
-    auto got = db->MultipleSimilarityQueryAll(batch);
-    if (!got.ok()) return got.status();
-    for (auto& a : *got) all.push_back(std::move(a));
-  }
-  return all;
-}
-
-/// Runs the workload through the single-query operation (Figure 1).
-StatusOr<std::vector<AnswerSet>> RunSingle(MetricDatabase* db,
-                                           const Workload& w) {
-  db->ResetAll();
-  std::vector<AnswerSet> all;
-  for (ObjectId id : w.queries) {
-    auto got = db->SimilarityQuery(db->MakeObjectKnnQuery(id, w.k));
-    if (!got.ok()) return got.status();
-    all.push_back(std::move(*got));
-  }
-  return all;
-}
-
-bool SameAnswers(const std::vector<AnswerSet>& a,
-                 const std::vector<AnswerSet>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].size() != b[i].size()) return false;
-    for (size_t j = 0; j < a[i].size(); ++j) {
-      if (a[i][j].id != b[i][j].id || a[i][j].distance != b[i][j].distance) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 const std::vector<BackendKind> kAllBackends = {
     BackendKind::kLinearScan, BackendKind::kVaFile, BackendKind::kXTree,
     BackendKind::kMTree};
@@ -125,9 +79,10 @@ int main(int argc, char** argv) {
       auto off_db = OpenPivotDb(w, backend, false, true, num_pivots);
       auto on_batched = OpenPivotDb(w, backend, true, true, num_pivots);
       auto on_scalar = OpenPivotDb(w, backend, true, false, num_pivots);
-      auto oracle = RunAll(off_db.get(), w, static_cast<size_t>(m));
-      auto batched = RunAll(on_batched.get(), w, static_cast<size_t>(m));
-      auto scalar = RunAll(on_scalar.get(), w, static_cast<size_t>(m));
+      const size_t width = static_cast<size_t>(m);
+      auto oracle = CollectAnswers(off_db.get(), w, width, true);
+      auto batched = CollectAnswers(on_batched.get(), w, width, true);
+      auto scalar = CollectAnswers(on_scalar.get(), w, width, true);
       if (!oracle.ok() || !batched.ok() || !scalar.ok()) {
         std::fprintf(stderr, "equivalence run failed\n");
         return 1;
@@ -135,8 +90,7 @@ int main(int argc, char** argv) {
       const QueryStats& off = off_db->stats();
       const QueryStats& bs = on_batched->stats();
       const QueryStats& ss = on_scalar->stats();
-      const bool answers_equal =
-          SameAnswers(*oracle, *batched) && SameAnswers(*oracle, *scalar);
+      const bool answers_equal = *oracle == *batched && *oracle == *scalar;
       // The scalar mode is the batched mode's exact cost oracle; the
       // per-layer avoided split may shift between modes (page_kernel.h),
       // the total may not. Pivots never add distance computations.
@@ -178,13 +132,13 @@ int main(int argc, char** argv) {
     // hyper-ring cuts during descent).
     auto off_db = OpenPivotDb(w, backend, false, true, num_pivots);
     auto on_db = OpenPivotDb(w, backend, true, true, num_pivots);
-    auto oracle = RunSingle(off_db.get(), w);
-    auto piv = RunSingle(on_db.get(), w);
+    auto oracle = CollectAnswers(off_db.get(), w, 1, false);
+    auto piv = CollectAnswers(on_db.get(), w, 1, false);
     if (!oracle.ok() || !piv.ok()) {
       std::fprintf(stderr, "single-query run failed\n");
       return 1;
     }
-    const bool answers_equal = SameAnswers(*oracle, *piv);
+    const bool answers_equal = *oracle == *piv;
     const bool counts_sane = on_db->stats().dist_computations <=
                              off_db->stats().dist_computations;
     std::printf("%-12s single answers=%s dists=%llu (off %llu)  %s\n",

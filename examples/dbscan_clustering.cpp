@@ -121,5 +121,5 @@ int main(int argc, char** argv) {
     std::printf("  extract at eps'=%.3f -> %zu clusters\n", eps_prime,
                 ids.size());
   }
-  return 0;
+  return single->cluster_of == multi->cluster_of ? 0 : 1;
 }

@@ -79,10 +79,9 @@ int main(int argc, char** argv) {
   std::printf("\n%zu users x %zu rounds, k=%zu -> %zu similarity queries\n",
               params.num_users, params.num_rounds, params.k,
               multi->queries_issued);
+  const bool identical = single->final_positions == multi->final_positions;
   std::printf("identical navigation in both modes: %s\n",
-              single->final_positions == multi->final_positions
-                  ? "yes"
-                  : "NO (bug!)");
+              identical ? "yes" : "NO (bug!)");
   std::printf("\nsingle queries  : %10.1f ms modeled  (%llu page reads, %llu distances)\n",
               single_ms,
               static_cast<unsigned long long>(single_stats.TotalPageReads()),
@@ -100,5 +99,5 @@ int main(int argc, char** argv) {
   std::printf("\nusers ended on images: ");
   for (msq::ObjectId id : multi->final_positions) std::printf("%u ", id);
   std::printf("\n");
-  return 0;
+  return identical ? 0 : 1;
 }

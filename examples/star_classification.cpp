@@ -101,5 +101,5 @@ int main(int argc, char** argv) {
               single_wall, multi_wall);
   std::printf("%-28s %14s %13.1fx\n", "modeled speed-up", "",
               multi_modeled > 0 ? single_modeled / multi_modeled : 0.0);
-  return 0;
+  return single->predicted == multi->predicted ? 0 : 1;
 }

@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
               db->backend().Name().c_str());
 
   // Show one similarity query in full.
+  const size_t k = static_cast<size_t>(flags.GetInt("k"));
   const msq::ObjectId probe = 17;
-  auto answers = db->SimilarityQuery(
-      db->MakeObjectKnnQuery(probe, static_cast<size_t>(flags.GetInt("k"))));
+  auto answers = db->SimilarityQuery(db->MakeObjectKnnQuery(probe, k));
   if (!answers.ok()) {
     std::printf("query failed: %s\n", answers.status().ToString().c_str());
     return 1;
@@ -76,33 +76,27 @@ int main(int argc, char** argv) {
   for (uint64_t id : rng.SampleWithoutReplacement(n, 120)) {
     sample.push_back(static_cast<msq::ObjectId>(id));
   }
-  const size_t k = static_cast<size_t>(flags.GetInt("k"));
   const size_t m = static_cast<size_t>(flags.GetInt("m"));
 
-  db->ResetAll();
-  for (msq::ObjectId id : sample) {
-    if (auto got = db->SimilarityQuery(db->MakeObjectKnnQuery(id, k));
-        !got.ok()) {
-      std::printf("query failed: %s\n", got.status().ToString().c_str());
-      return 1;
-    }
-  }
+  // Single similarity queries (Figure 1), then the multiple form in
+  // windows of m: the answers must agree, only the cost differs.
+  auto run = [&](bool multiple, std::vector<msq::AnswerSet>* answers) {
+    db->ResetAll();
+    return msq::ForEachNeighborhood(
+        db.get(), sample, msq::QueryType::Knn(k), m, multiple,
+        [&](size_t, const msq::AnswerSet& got) { answers->push_back(got); });
+  };
+  std::vector<msq::AnswerSet> single_answers, multi_answers;
+  msq::Status status = run(false, &single_answers);
   const double single_ms = db->ModeledTotalMillis();
   const uint64_t single_dists = db->stats().TotalDistComputations();
-
-  db->ResetAll();
-  for (size_t block = 0; block < sample.size(); block += m) {
-    std::vector<msq::Query> batch;
-    for (size_t i = block; i < std::min(sample.size(), block + m); ++i) {
-      batch.push_back(db->MakeObjectKnnQuery(sample[i], k));
-    }
-    if (auto got = db->MultipleSimilarityQueryAll(batch); !got.ok()) {
-      std::printf("multiple query failed: %s\n",
-                  got.status().ToString().c_str());
-      return 1;
-    }
+  if (status.ok()) status = run(true, &multi_answers);
+  if (!status.ok()) {
+    std::printf("query failed: %s\n", status.ToString().c_str());
+    return 1;
   }
   const double multi_ms = db->ModeledTotalMillis();
+  const bool identical = single_answers == multi_answers;
 
   std::printf("\n%zu session-similarity queries:\n", sample.size());
   std::printf("  single queries  : %10.1f ms modeled, %llu edit-distance computations\n",
@@ -114,5 +108,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(db->stats().triangle_avoided));
   std::printf("  speed-up        : %10.1fx\n",
               multi_ms > 0 ? single_ms / multi_ms : 0.0);
-  return 0;
+  std::printf("  identical answers in both modes: %s\n",
+              identical ? "yes" : "NO (bug!)");
+  return identical ? 0 : 1;
 }

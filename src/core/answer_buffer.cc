@@ -14,15 +14,12 @@ StatusOr<BufferedQueryState*> AnswerBuffer::GetOrCreate(const Query& q,
   if (created != nullptr) *created = false;
   auto it = states_.find(q.id);
   if (it != states_.end()) {
-    BufferedQueryState& state = it->second;
-    const QueryType& t = state.query.type;
-    if (state.query.point != q.point || t.kind != q.type.kind ||
-        t.range != q.type.range || t.cardinality != q.type.cardinality) {
+    if (!SameDefinition(it->second.query, q)) {
       return Status::InvalidArgument(
           "query id " + std::to_string(q.id) +
           " re-submitted with a different point or type");
     }
-    return &state;
+    return &it->second;
   }
   auto [ins, ok] = states_.emplace(q.id, BufferedQueryState(q));
   (void)ok;

@@ -865,15 +865,18 @@ Query MetricDatabase::MakeBoundedKnnQuery(Vec point, size_t k, double eps) {
                QueryType::BoundedKnn(k, eps)};
 }
 
-Query MetricDatabase::MakeObjectKnnQuery(ObjectId id, size_t k) const {
+Query MetricDatabase::MakeObjectQuery(ObjectId id,
+                                      const QueryType& type) const {
   // Through the backend, so delta-tier (inserted) objects resolve too.
-  return Query{static_cast<QueryId>(id), backend_->ObjectVec(id),
-               QueryType::Knn(k)};
+  return Query{static_cast<QueryId>(id), backend_->ObjectVec(id), type};
+}
+
+Query MetricDatabase::MakeObjectKnnQuery(ObjectId id, size_t k) const {
+  return MakeObjectQuery(id, QueryType::Knn(k));
 }
 
 Query MetricDatabase::MakeObjectRangeQuery(ObjectId id, double eps) const {
-  return Query{static_cast<QueryId>(id), backend_->ObjectVec(id),
-               QueryType::Range(eps)};
+  return MakeObjectQuery(id, QueryType::Range(eps));
 }
 
 StatusOr<AnswerSet> MetricDatabase::SimilarityQuery(const Query& query) {

@@ -162,7 +162,10 @@ class MetricDatabase {
   Query MakeBoundedKnnQuery(Vec point, size_t k, double eps);
   /// Queries whose query object is a database object; the query id is the
   /// object id, so the answer buffer recognizes repeats (the mining
-  /// engines rely on this).
+  /// engines rely on this). The id is the same whatever the type: see
+  /// ForEachNeighborhood (mining/explore.h) for how a second run with
+  /// another type gets past the first run's buffered states.
+  Query MakeObjectQuery(ObjectId id, const QueryType& type) const;
   Query MakeObjectKnnQuery(ObjectId id, size_t k) const;
   Query MakeObjectRangeQuery(ObjectId id, double eps) const;
 

@@ -20,8 +20,8 @@ namespace msq {
 
 /// Identifies a query across calls: the answer buffer of the multiple-query
 /// engine keys partial answers by QueryId, so re-submitting the same id
-/// (same point and type) picks up buffered work. ExploreNeighborhoods uses
-/// the queried object's id.
+/// (same point and type) picks up buffered work. Object queries
+/// (MetricDatabase::MakeObjectQuery) use the queried object's id.
 using QueryId = uint64_t;
 
 /// T.kind of Definition 1.
@@ -84,6 +84,15 @@ struct Query {
 
   bool HasDeadline() const { return deadline != kNoDeadline; }
 };
+
+/// True when `a` and `b` define the same query: equal point and type. Ids
+/// name definitions and deadlines are not part of one, so neither is
+/// compared. Two submissions may share buffered state only when this holds.
+inline bool SameDefinition(const Query& a, const Query& b) {
+  return a.point == b.point && a.type.kind == b.type.kind &&
+         a.type.range == b.type.range &&
+         a.type.cardinality == b.type.cardinality;
+}
 
 /// One answer: a database object and its distance to the query object.
 struct Neighbor {

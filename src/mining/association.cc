@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
+
+#include "mining/explore.h"
 
 namespace msq {
 
@@ -17,8 +20,6 @@ StatusOr<std::vector<AssociationRule>> MineNeighborhoodRules(
     return Status::InvalidArgument("eps must be positive");
   }
   const size_t n = ds.size();
-  const size_t effective_batch =
-      std::min(params.batch_size, db->engine().options().max_batch_size);
 
   std::map<int32_t, size_t> label_counts;
   for (ObjectId id = 0; id < n; ++id) {
@@ -28,40 +29,23 @@ StatusOr<std::vector<AssociationRule>> MineNeighborhoodRules(
   // pair_counts[{A, B}] = number of A-labeled objects with >= 1 B-labeled
   // object (other than themselves) within eps.
   std::map<std::pair<int32_t, int32_t>, size_t> pair_counts;
-  for (size_t block = 0; block < n; block += effective_batch) {
-    const size_t end = std::min(n, block + effective_batch);
-    std::vector<AnswerSet> answers;
-    if (params.use_multiple) {
-      std::vector<Query> queries;
-      for (size_t i = block; i < end; ++i) {
-        queries.push_back(
-            db->MakeObjectRangeQuery(static_cast<ObjectId>(i), params.eps));
-      }
-      auto got = db->MultipleSimilarityQueryAll(queries);
-      if (!got.ok()) return got.status();
-      answers = std::move(got).value();
-    } else {
-      for (size_t i = block; i < end; ++i) {
-        auto got = db->SimilarityQuery(
-            db->MakeObjectRangeQuery(static_cast<ObjectId>(i), params.eps));
-        if (!got.ok()) return got.status();
-        answers.push_back(std::move(got).value());
-      }
-    }
-    for (size_t i = block; i < end; ++i) {
-      const ObjectId self = static_cast<ObjectId>(i);
-      const int32_t a = ds.label(self);
-      if (a == kNoLabel) continue;
-      std::set<int32_t> neighbor_labels;
-      for (const Neighbor& nb : answers[i - block]) {
-        if (nb.id == self) continue;
-        if (ds.label(nb.id) != kNoLabel) {
-          neighbor_labels.insert(ds.label(nb.id));
+  std::vector<ObjectId> all(n);
+  std::iota(all.begin(), all.end(), ObjectId{0});
+  MSQ_RETURN_IF_ERROR(ForEachNeighborhood(
+      db, all, QueryType::Range(params.eps), params.batch_size,
+      params.use_multiple, [&](size_t i, const AnswerSet& answers) {
+        const ObjectId self = static_cast<ObjectId>(i);
+        const int32_t a = ds.label(self);
+        if (a == kNoLabel) return;
+        std::set<int32_t> neighbor_labels;
+        for (const Neighbor& nb : answers) {
+          if (nb.id == self) continue;
+          if (ds.label(nb.id) != kNoLabel) {
+            neighbor_labels.insert(ds.label(nb.id));
+          }
         }
-      }
-      for (int32_t b : neighbor_labels) ++pair_counts[{a, b}];
-    }
-  }
+        for (int32_t b : neighbor_labels) ++pair_counts[{a, b}];
+      }));
 
   std::vector<AssociationRule> rules;
   for (const auto& [pair, count] : pair_counts) {

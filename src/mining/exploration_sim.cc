@@ -1,25 +1,19 @@
 #include "mining/exploration_sim.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "common/rng.h"
+#include "mining/explore.h"
 
 namespace msq {
 
 namespace {
 
-struct RoundOutcome {
-  /// Answers per query object of the round.
-  std::vector<AnswerSet> answers;
-};
-
+// Answers per query object of one round. Different users may hold the same
+// answer object: each distinct object is asked once and its answers fanned
+// back out.
 Status RunRound(MetricDatabase* db, const std::vector<ObjectId>& query_objects,
-                size_t k, bool use_multiple, RoundOutcome* out) {
-  out->answers.clear();
-  // Different users may hold the same answer object; a multiple-query
-  // batch must not contain duplicate query ids, so query each distinct
-  // object once and fan the answers back out.
+                size_t k, bool use_multiple, std::vector<AnswerSet>* answers) {
   std::vector<ObjectId> unique_ids;
   std::unordered_map<ObjectId, size_t> index_of;
   for (ObjectId id : query_objects) {
@@ -27,31 +21,17 @@ Status RunRound(MetricDatabase* db, const std::vector<ObjectId>& query_objects,
       unique_ids.push_back(id);
     }
   }
-  std::vector<AnswerSet> unique_answers;
-  unique_answers.reserve(unique_ids.size());
-  if (use_multiple) {
-    const size_t cap = db->engine().options().max_batch_size;
-    for (size_t block = 0; block < unique_ids.size(); block += cap) {
-      const size_t end = std::min(unique_ids.size(), block + cap);
-      std::vector<Query> queries;
-      queries.reserve(end - block);
-      for (size_t i = block; i < end; ++i) {
-        queries.push_back(db->MakeObjectKnnQuery(unique_ids[i], k));
-      }
-      auto got = db->MultipleSimilarityQueryAll(queries);
-      if (!got.ok()) return got.status();
-      for (auto& a : got.value()) unique_answers.push_back(std::move(a));
-    }
-  } else {
-    for (ObjectId id : unique_ids) {
-      auto got = db->SimilarityQuery(db->MakeObjectKnnQuery(id, k));
-      if (!got.ok()) return got.status();
-      unique_answers.push_back(std::move(got).value());
-    }
-  }
-  out->answers.reserve(query_objects.size());
+  std::vector<AnswerSet> unique_answers(unique_ids.size());
+  // The simulation has no batch-size knob: a round goes out in windows as
+  // wide as the engine takes.
+  MSQ_RETURN_IF_ERROR(ForEachNeighborhood(
+      db, unique_ids, QueryType::Knn(k),
+      db->engine().options().max_batch_size, use_multiple,
+      [&](size_t i, const AnswerSet& got) { unique_answers[i] = got; }));
+  answers->clear();
+  answers->reserve(query_objects.size());
   for (ObjectId id : query_objects) {
-    out->answers.push_back(unique_answers[index_of[id]]);
+    answers->push_back(unique_answers[index_of[id]]);
   }
   return Status::OK();
 }
@@ -76,16 +56,17 @@ StatusOr<ExplorationSimResult> RunExplorationSim(
   // Current answer set per user: the k answers their position query got.
   std::vector<std::vector<ObjectId>> user_answers(params.num_users);
 
+  std::vector<AnswerSet> answers;
   for (size_t round = 0; round <= params.num_rounds; ++round) {
-    RoundOutcome outcome;
     MSQ_RETURN_IF_ERROR(RunRound(db, round_queries, params.k,
-                                 params.use_multiple, &outcome));
-    result.queries_issued += round_queries.size();
+                                 params.use_multiple, &answers));
+    result.query_stream.insert(result.query_stream.end(),
+                               round_queries.begin(), round_queries.end());
 
     if (round == 0) {
       for (size_t u = 0; u < params.num_users; ++u) {
         user_answers[u].clear();
-        for (const Neighbor& nb : outcome.answers[u]) {
+        for (const Neighbor& nb : answers[u]) {
           user_answers[u].push_back(nb.id);
         }
       }
@@ -95,14 +76,11 @@ StatusOr<ExplorationSimResult> RunExplorationSim(
       size_t offset = 0;
       for (size_t u = 0; u < params.num_users; ++u) {
         const size_t count = user_answers[u].size();
-        if (count == 0) {
-          offset += count;
-          continue;
-        }
+        if (count == 0) continue;
         const size_t pick = rng.NextIndex(count);
         positions[u] = user_answers[u][pick];
         user_answers[u].clear();
-        for (const Neighbor& nb : outcome.answers[offset + pick]) {
+        for (const Neighbor& nb : answers[offset + pick]) {
           user_answers[u].push_back(nb.id);
         }
         offset += count;
@@ -116,62 +94,18 @@ StatusOr<ExplorationSimResult> RunExplorationSim(
     }
     if (round_queries.empty()) break;
   }
+  result.queries_issued = result.query_stream.size();
   result.final_positions = positions;
   return result;
 }
 
 StatusOr<std::vector<ObjectId>> GenerateExplorationQueryStream(
     MetricDatabase* db, const ExplorationSimParams& params) {
-  // Run the simulation on the database once (unmetered relative to the
-  // caller: callers snapshot stats around the calls they care about) and
-  // record every query object in issue order.
-  ExplorationSimParams p = params;
-  p.use_multiple = true;
-
-  if (db == nullptr) return Status::InvalidArgument("db is null");
-  const size_t n = db->dataset().size();
-  Rng rng(p.seed);
-  std::vector<ObjectId> stream;
-
-  std::vector<ObjectId> positions(p.num_users);
-  for (auto& pos : positions) pos = static_cast<ObjectId>(rng.NextIndex(n));
-  std::vector<ObjectId> round_queries = positions;
-  std::vector<std::vector<ObjectId>> user_answers(p.num_users);
-
-  for (size_t round = 0; round <= p.num_rounds; ++round) {
-    RoundOutcome outcome;
-    MSQ_RETURN_IF_ERROR(
-        RunRound(db, round_queries, p.k, /*use_multiple=*/true, &outcome));
-    stream.insert(stream.end(), round_queries.begin(), round_queries.end());
-    if (round == 0) {
-      for (size_t u = 0; u < p.num_users; ++u) {
-        user_answers[u].clear();
-        for (const Neighbor& nb : outcome.answers[u]) {
-          user_answers[u].push_back(nb.id);
-        }
-      }
-    } else {
-      size_t offset = 0;
-      for (size_t u = 0; u < p.num_users; ++u) {
-        const size_t count = user_answers[u].size();
-        if (count == 0) continue;
-        const size_t pick = rng.NextIndex(count);
-        positions[u] = user_answers[u][pick];
-        user_answers[u].clear();
-        for (const Neighbor& nb : outcome.answers[offset + pick]) {
-          user_answers[u].push_back(nb.id);
-        }
-        offset += count;
-      }
-    }
-    if (round == p.num_rounds) break;
-    round_queries.clear();
-    for (const auto& ua : user_answers) {
-      round_queries.insert(round_queries.end(), ua.begin(), ua.end());
-    }
-    if (round_queries.empty()) break;
-  }
-  return stream;
+  ExplorationSimParams multiple = params;
+  multiple.use_multiple = true;
+  auto run = RunExplorationSim(db, multiple);
+  if (!run.ok()) return run.status();
+  return std::move(run->query_stream);
 }
 
 }  // namespace msq

@@ -28,8 +28,11 @@ struct ExplorationSimParams {
 };
 
 struct ExplorationSimResult {
-  /// Total similarity queries issued across all rounds.
+  /// Total similarity queries issued across all rounds
+  /// (query_stream.size()).
   size_t queries_issued = 0;
+  /// Every round's query objects in issue order, repeats included.
+  std::vector<ObjectId> query_stream;
   /// Objects each user ended the simulation on.
   std::vector<ObjectId> final_positions;
 };
@@ -40,9 +43,9 @@ struct ExplorationSimResult {
 StatusOr<ExplorationSimResult> RunExplorationSim(
     MetricDatabase* db, const ExplorationSimParams& params);
 
-/// Builds just the query-object sequence the workload would issue, without
-/// executing it (used by the benches to generate the paper's dependent
-/// query stream once and replay it under different engines).
+/// The query_stream of a multiple-mode RunExplorationSim: the benches
+/// generate the paper's dependent query stream once and replay it under
+/// different engines. Callers snapshot stats around the calls they measure.
 StatusOr<std::vector<ObjectId>> GenerateExplorationQueryStream(
     MetricDatabase* db, const ExplorationSimParams& params);
 

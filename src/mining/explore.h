@@ -2,12 +2,18 @@
 //   ExploreNeighborhoods          (Figure 2) — single similarity queries
 //   ExploreNeighborhoodsMultiple  (Figure 3) — multiple similarity queries
 //
-// Both engines run the same task-specific callbacks (proc_1, proc_2,
-// filter, condition_check); the multiple form differs *only* in selecting a
-// window of control-list objects and issuing one multiple similarity query
-// for it — the purely syntactic transformation the paper describes. The
-// two forms therefore produce identical results, which the tests assert
-// for every mining instance.
+// Figure 3 differs from Figure 2 *only* in selecting a window of objects
+// and issuing one multiple similarity query for it — the purely syntactic
+// transformation the paper describes. That transformation is written once,
+// in the two functions every mining instance reaches the database through:
+//   ForEachNeighborhood — a fixed list of query objects (classification,
+//                         association rules, the join, the kNN graph, ...);
+//   AnswerFirst         — one step over a control list (ExploreNeighborhoods
+//                         and so DBSCAN, and OPTICS' seed list).
+// Each takes `use_multiple` and issues either single similarity queries or
+// multiple similarity queries; nothing else differs. The two forms
+// therefore produce identical results, which the tests assert for every
+// mining instance.
 
 #ifndef MSQ_MINING_EXPLORE_H_
 #define MSQ_MINING_EXPLORE_H_
@@ -20,6 +26,39 @@
 #include "core/database.h"
 
 namespace msq {
+
+/// Receives the complete answers of the `index`-th input object.
+using NeighborhoodVisitor =
+    std::function<void(size_t index, const AnswerSet& answers)>;
+
+/// Answers the `type` query of every object in `objects` and hands each
+/// object's complete answers to `visit`, in input order. The objects go
+/// out in consecutive windows of m (clamped to the engine's
+/// max_batch_size), and a window is visited completely before the next is
+/// issued. A window is one multiple similarity query completed for all
+/// its objects, with a repeated object asked once (use_multiple, even for
+/// m = 1), or one similarity query per object (Figure 1). InvalidArgument
+/// when m is 0.
+///
+/// Object queries use the object id as query id whatever their type, so an
+/// earlier run may have left a buffered answer state under the same id for
+/// another type. Such a state can never serve this query; before each
+/// window it is erased, as LRU eviction would, and so runs with different
+/// types can follow each other on one database.
+Status ForEachNeighborhood(MetricDatabase* db,
+                           const std::vector<ObjectId>& objects,
+                           const QueryType& type, size_t m, bool use_multiple,
+                           const NeighborhoodVisitor& visit);
+
+/// The complete `type` answers of window[0]: one multiple similarity query
+/// for the whole window, which prefetches the rest into the engine's answer
+/// buffer (use_multiple, the choose_multiple() step of Figure 3), or the
+/// similarity query of window[0] alone. The window's objects must be
+/// distinct and at most max_batch_size many. Erases conflicting buffered
+/// states as ForEachNeighborhood does.
+StatusOr<AnswerSet> AnswerFirst(MetricDatabase* db,
+                                const std::vector<ObjectId>& window,
+                                const QueryType& type, bool use_multiple);
 
 /// Task-specific hooks of the ExploreNeighborhoods scheme. Defaults: run
 /// until the control list is empty, no per-object processing, enqueue

@@ -1,7 +1,8 @@
 #include "mining/knn_classifier.h"
 
-#include <algorithm>
 #include <map>
+
+#include "mining/explore.h"
 
 namespace msq {
 
@@ -35,47 +36,24 @@ StatusOr<ClassificationResult> ClassifyObjects(
   if (!db->dataset().has_labels()) {
     return Status::InvalidArgument("kNN classification requires labels");
   }
-  if (params.k == 0 || params.batch_size == 0) {
-    return Status::InvalidArgument("k and batch_size must be positive");
-  }
-  const size_t effective_batch =
-      std::min(params.batch_size, db->engine().options().max_batch_size);
+  if (params.k == 0) return Status::InvalidArgument("k must be positive");
 
   ClassificationResult result;
   result.predicted.assign(objects.size(), kNoLabel);
   size_t correct = 0;
-
   // Query k+1 neighbors so that the query object itself (always its own
   // nearest neighbor) leaves k voters.
-  for (size_t block = 0; block < objects.size(); block += effective_batch) {
-    const size_t end = std::min(objects.size(), block + effective_batch);
-    std::vector<AnswerSet> answers;
-    if (params.use_multiple) {
-      std::vector<Query> queries;
-      queries.reserve(end - block);
-      for (size_t i = block; i < end; ++i) {
-        queries.push_back(db->MakeObjectKnnQuery(objects[i], params.k + 1));
-      }
-      auto got = db->MultipleSimilarityQueryAll(queries);
-      if (!got.ok()) return got.status();
-      answers = std::move(got).value();
-    } else {
-      for (size_t i = block; i < end; ++i) {
-        auto got = db->SimilarityQuery(
-            db->MakeObjectKnnQuery(objects[i], params.k + 1));
-        if (!got.ok()) return got.status();
-        answers.push_back(std::move(got).value());
-      }
-    }
-    for (size_t i = block; i < end; ++i) {
-      const int32_t predicted =
-          MajorityLabel(db->dataset(), objects[i], answers[i - block]);
-      result.predicted[i] = predicted;
-      if (predicted != kNoLabel && predicted == db->dataset().label(objects[i])) {
-        ++correct;
-      }
-    }
-  }
+  MSQ_RETURN_IF_ERROR(ForEachNeighborhood(
+      db, objects, QueryType::Knn(params.k + 1), params.batch_size,
+      params.use_multiple, [&](size_t i, const AnswerSet& answers) {
+        const int32_t predicted =
+            MajorityLabel(db->dataset(), objects[i], answers);
+        result.predicted[i] = predicted;
+        if (predicted != kNoLabel &&
+            predicted == db->dataset().label(objects[i])) {
+          ++correct;
+        }
+      }));
   result.accuracy = objects.empty()
                         ? 0.0
                         : static_cast<double>(correct) /

@@ -1,52 +1,32 @@
 #include "mining/knn_graph.h"
 
 #include <algorithm>
+#include <numeric>
+
+#include "mining/explore.h"
 
 namespace msq {
 
 namespace {
 
-// kNN answers (self excluded) for every database object, in blocks.
-Status AllKnn(MetricDatabase* db, size_t k, size_t batch_size,
-              bool use_multiple, std::vector<AnswerSet>* out) {
-  const size_t n = db->dataset().size();
-  const size_t effective_batch =
-      std::min(batch_size, db->engine().options().max_batch_size);
-  out->clear();
-  out->reserve(n);
-  for (size_t block = 0; block < n; block += effective_batch) {
-    const size_t end = std::min(n, block + effective_batch);
-    std::vector<AnswerSet> answers;
-    if (use_multiple) {
-      std::vector<Query> batch;
-      batch.reserve(end - block);
-      for (size_t i = block; i < end; ++i) {
-        // k+1 so that dropping the object itself leaves k neighbors.
-        batch.push_back(
-            db->MakeObjectKnnQuery(static_cast<ObjectId>(i), k + 1));
-      }
-      auto got = db->MultipleSimilarityQueryAll(batch);
-      if (!got.ok()) return got.status();
-      answers = std::move(got).value();
-    } else {
-      for (size_t i = block; i < end; ++i) {
-        auto got = db->SimilarityQuery(
-            db->MakeObjectKnnQuery(static_cast<ObjectId>(i), k + 1));
-        if (!got.ok()) return got.status();
-        answers.push_back(std::move(got).value());
-      }
-    }
-    for (size_t i = block; i < end; ++i) {
-      const ObjectId self = static_cast<ObjectId>(i);
-      AnswerSet filtered;
-      filtered.reserve(k);
-      for (const Neighbor& nb : answers[i - block]) {
-        if (nb.id != self && filtered.size() < k) filtered.push_back(nb);
-      }
-      out->push_back(std::move(filtered));
-    }
-  }
-  return Status::OK();
+// kNN answers (self excluded) for every database object.
+Status AllKnn(MetricDatabase* db, const KnnGraphParams& params,
+              std::vector<AnswerSet>* out) {
+  if (db == nullptr) return Status::InvalidArgument("db is null");
+  if (params.k == 0) return Status::InvalidArgument("k must be positive");
+  std::vector<ObjectId> all(db->dataset().size());
+  std::iota(all.begin(), all.end(), ObjectId{0});
+  out->assign(all.size(), AnswerSet{});
+  // k+1 so that dropping the object itself leaves k neighbors.
+  return ForEachNeighborhood(
+      db, all, QueryType::Knn(params.k + 1), params.batch_size,
+      params.use_multiple, [&](size_t i, const AnswerSet& answers) {
+        AnswerSet& filtered = (*out)[i];
+        filtered.reserve(params.k);
+        for (const Neighbor& nb : answers) {
+          if (nb.id != i && filtered.size() < params.k) filtered.push_back(nb);
+        }
+      });
 }
 
 }  // namespace
@@ -72,25 +52,15 @@ double KnnGraph::MutualEdgeFraction() const {
 
 StatusOr<KnnGraph> BuildKnnGraph(MetricDatabase* db,
                                  const KnnGraphParams& params) {
-  if (db == nullptr) return Status::InvalidArgument("db is null");
-  if (params.k == 0 || params.batch_size == 0) {
-    return Status::InvalidArgument("k and batch_size must be positive");
-  }
   KnnGraph graph;
-  MSQ_RETURN_IF_ERROR(AllKnn(db, params.k, params.batch_size,
-                             params.use_multiple, &graph.neighbors));
+  MSQ_RETURN_IF_ERROR(AllKnn(db, params, &graph.neighbors));
   return graph;
 }
 
 StatusOr<std::vector<double>> KDistanceList(MetricDatabase* db,
                                             const KnnGraphParams& params) {
-  if (db == nullptr) return Status::InvalidArgument("db is null");
-  if (params.k == 0 || params.batch_size == 0) {
-    return Status::InvalidArgument("k and batch_size must be positive");
-  }
   std::vector<AnswerSet> neighbors;
-  MSQ_RETURN_IF_ERROR(AllKnn(db, params.k, params.batch_size,
-                             params.use_multiple, &neighbors));
+  MSQ_RETURN_IF_ERROR(AllKnn(db, params, &neighbors));
   std::vector<double> k_dist;
   k_dist.reserve(neighbors.size());
   for (const AnswerSet& a : neighbors) {

@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 
+#include "mining/explore.h"
+
 namespace msq {
 
 namespace {
@@ -77,31 +79,22 @@ StatusOr<OpticsResult> RunOptics(MetricDatabase* db,
   // The Eps-neighborhood of `id`, with the seed list's front prefetched in
   // the same multiple similarity query (the ExploreNeighborhoodsMultiple
   // pattern with a priority-ordered choose_multiple()).
-  auto neighborhood = [&](ObjectId id, ObjectId next_unprocessed)
-      -> StatusOr<AnswerSet> {
-    if (!params.use_multiple) {
-      return db->SimilarityQuery(db->MakeObjectRangeQuery(id, params.eps));
-    }
-    std::vector<Query> batch;
-    std::set<ObjectId> in_batch{id};
-    batch.push_back(db->MakeObjectRangeQuery(id, params.eps));
+  auto neighborhood = [&](ObjectId id, ObjectId next_unprocessed) {
+    std::vector<ObjectId> window{id};
+    std::set<ObjectId> in_window{id};
     for (ObjectId s : seeds.Peek(effective_batch - 1)) {
-      if (batch.size() >= effective_batch) break;
-      if (in_batch.insert(s).second) {
-        batch.push_back(db->MakeObjectRangeQuery(s, params.eps));
-      }
+      if (window.size() >= effective_batch) break;
+      if (in_window.insert(s).second) window.push_back(s);
     }
     // With a short seed list, prefetch upcoming fresh start objects.
-    ObjectId fresh = next_unprocessed;
-    while (batch.size() < effective_batch && fresh < n) {
-      if (!processed[fresh] && in_batch.insert(fresh).second) {
-        batch.push_back(db->MakeObjectRangeQuery(fresh, params.eps));
+    for (ObjectId fresh = next_unprocessed;
+         window.size() < effective_batch && fresh < n; ++fresh) {
+      if (!processed[fresh] && in_window.insert(fresh).second) {
+        window.push_back(fresh);
       }
-      ++fresh;
     }
-    auto got = db->MultipleSimilarityQuery(batch);
-    if (!got.ok()) return got.status();
-    return std::move(got.value().answers.front());
+    return AnswerFirst(db, window, QueryType::Range(params.eps),
+                       params.use_multiple);
   };
 
   auto process = [&](ObjectId id, double reachability,

@@ -1,6 +1,9 @@
 #include "mining/similarity_join.h"
 
 #include <algorithm>
+#include <numeric>
+
+#include "mining/explore.h"
 
 namespace msq {
 
@@ -10,45 +13,18 @@ StatusOr<std::vector<JoinPair>> SimilaritySelfJoin(
   if (params.eps <= 0.0) {
     return Status::InvalidArgument("eps must be positive");
   }
-  if (params.batch_size == 0) {
-    return Status::InvalidArgument("batch_size must be positive");
-  }
-  const size_t n = db->dataset().size();
-  const size_t effective_batch =
-      std::min(params.batch_size, db->engine().options().max_batch_size);
-
+  std::vector<ObjectId> all(db->dataset().size());
+  std::iota(all.begin(), all.end(), ObjectId{0});
   std::vector<JoinPair> pairs;
-  for (size_t block = 0; block < n; block += effective_batch) {
-    const size_t end = std::min(n, block + effective_batch);
-    std::vector<AnswerSet> answers;
-    if (params.use_multiple) {
-      std::vector<Query> batch;
-      batch.reserve(end - block);
-      for (size_t i = block; i < end; ++i) {
-        batch.push_back(db->MakeObjectRangeQuery(static_cast<ObjectId>(i),
-                                                 params.eps));
-      }
-      auto got = db->MultipleSimilarityQueryAll(batch);
-      if (!got.ok()) return got.status();
-      answers = std::move(got).value();
-    } else {
-      for (size_t i = block; i < end; ++i) {
-        auto got = db->SimilarityQuery(
-            db->MakeObjectRangeQuery(static_cast<ObjectId>(i), params.eps));
-        if (!got.ok()) return got.status();
-        answers.push_back(std::move(got).value());
-      }
-    }
-    for (size_t i = block; i < end; ++i) {
-      const ObjectId self = static_cast<ObjectId>(i);
-      for (const Neighbor& nb : answers[i - block]) {
-        // Emit each unordered pair once, from its smaller endpoint.
-        if (nb.id > self) {
-          pairs.push_back({self, nb.id, nb.distance});
+  MSQ_RETURN_IF_ERROR(ForEachNeighborhood(
+      db, all, QueryType::Range(params.eps), params.batch_size,
+      params.use_multiple, [&](size_t i, const AnswerSet& answers) {
+        const ObjectId self = static_cast<ObjectId>(i);
+        for (const Neighbor& nb : answers) {
+          // Emit each unordered pair once, from its smaller endpoint.
+          if (nb.id > self) pairs.push_back({self, nb.id, nb.distance});
         }
-      }
-    }
-  }
+      }));
   std::sort(pairs.begin(), pairs.end());
   return pairs;
 }

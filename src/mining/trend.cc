@@ -7,14 +7,15 @@
 
 #include "common/rng.h"
 #include "dist/counting_metric.h"
+#include "mining/explore.h"
 
 namespace msq {
 
 namespace {
 
-// Answers for a set of (deduplicated) object kNN queries.
+// Answers for the objects of `objects` not in `out` yet, each asked once.
 Status QueryBatch(MetricDatabase* db, const std::vector<ObjectId>& objects,
-                  size_t k, bool use_multiple, size_t batch_size,
+                  const TrendParams& params,
                   std::unordered_map<ObjectId, AnswerSet>* out) {
   std::vector<ObjectId> unique_ids;
   for (ObjectId id : objects) {
@@ -24,30 +25,12 @@ Status QueryBatch(MetricDatabase* db, const std::vector<ObjectId>& objects,
       unique_ids.push_back(id);
     }
   }
-  const size_t cap =
-      std::min(batch_size, db->engine().options().max_batch_size);
-  for (size_t block = 0; block < unique_ids.size(); block += cap) {
-    const size_t end = std::min(unique_ids.size(), block + cap);
-    if (use_multiple) {
-      std::vector<Query> queries;
-      for (size_t i = block; i < end; ++i) {
-        queries.push_back(db->MakeObjectKnnQuery(unique_ids[i], k));
-      }
-      auto got = db->MultipleSimilarityQueryAll(queries);
-      if (!got.ok()) return got.status();
-      for (size_t i = block; i < end; ++i) {
-        (*out)[unique_ids[i]] = std::move(got.value()[i - block]);
-      }
-    } else {
-      for (size_t i = block; i < end; ++i) {
-        auto got =
-            db->SimilarityQuery(db->MakeObjectKnnQuery(unique_ids[i], k));
-        if (!got.ok()) return got.status();
-        (*out)[unique_ids[i]] = std::move(got).value();
-      }
-    }
-  }
-  return Status::OK();
+  return ForEachNeighborhood(
+      db, unique_ids, QueryType::Knn(params.k), params.batch_size,
+      params.use_multiple,
+      [&](size_t i, const AnswerSet& answers) {
+        (*out)[unique_ids[i]] = answers;
+      });
 }
 
 }  // namespace
@@ -88,9 +71,7 @@ StatusOr<TrendResult> DetectTrend(MetricDatabase* db, ObjectId start,
       if (path.size() == step + 1) frontier.push_back(path.back());
     }
     if (frontier.empty()) break;
-    MSQ_RETURN_IF_ERROR(QueryBatch(db, frontier, params.k,
-                                   params.use_multiple, params.batch_size,
-                                   &answer_cache));
+    MSQ_RETURN_IF_ERROR(QueryBatch(db, frontier, params, &answer_cache));
     for (auto& path : paths) {
       if (path.size() != step + 1) continue;
       const AnswerSet& answers = answer_cache[path.back()];

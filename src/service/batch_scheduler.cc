@@ -13,14 +13,6 @@ namespace msq {
 
 namespace {
 
-/// Two submissions name the same query iff id, point, and type all agree
-/// (QueryIds name query definitions — see AnswerBuffer::GetOrCreate).
-bool SameDefinition(const Query& a, const Query& b) {
-  return a.point == b.point && a.type.kind == b.type.kind &&
-         a.type.range == b.type.range &&
-         a.type.cardinality == b.type.cardinality;
-}
-
 double MicrosSince(std::chrono::steady_clock::time_point start,
                    std::chrono::steady_clock::time_point now) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(

@@ -19,6 +19,8 @@
 #include "mining/exploration_sim.h"
 #include "mining/explore.h"
 #include "mining/knn_classifier.h"
+#include "mining/knn_graph.h"
+#include "mining/optics.h"
 #include "mining/proximity.h"
 #include "mining/trend.h"
 
@@ -135,6 +137,144 @@ TEST(ExploreTest, RejectsBadArguments) {
   EXPECT_TRUE(ExploreNeighborhoods(db.get(), {999999}, options, {})
                   .status()
                   .IsInvalidArgument());
+}
+
+// ---------------------------------------------------------------------
+// The single-to-multiple transformation (ForEachNeighborhood, AnswerFirst)
+// ---------------------------------------------------------------------
+
+TEST(TransformationTest, VisitsEveryObjectInInputOrderInBothModes) {
+  Dataset dataset = MakeUniformDataset(300, 4, 761);
+  const std::vector<ObjectId> objects = {5, 9, 5, 2, 40, 9, 9, 17};
+  std::vector<std::vector<size_t>> order(2);
+  std::vector<std::vector<AnswerSet>> answers(2);
+  for (int mode = 0; mode < 2; ++mode) {
+    auto db = OpenDb(dataset);
+    ASSERT_TRUE(ForEachNeighborhood(db.get(), objects, QueryType::Knn(4), 3,
+                                    mode == 1,
+                                    [&](size_t i, const AnswerSet& got) {
+                                      order[mode].push_back(i);
+                                      answers[mode].push_back(got);
+                                    })
+                    .ok());
+  }
+  EXPECT_EQ(order[0], (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(order[0], order[1]);
+  EXPECT_EQ(answers[0], answers[1]);
+  auto db = OpenDb(dataset);
+  EXPECT_TRUE(ForEachNeighborhood(db.get(), objects, QueryType::Knn(4), 0,
+                                  true, [](size_t, const AnswerSet&) {})
+                  .IsInvalidArgument());
+}
+
+TEST(TransformationTest, RepeatedObjectsGiveIdenticalResultsInBothModes) {
+  Dataset dataset = MakeGaussianClustersDataset(500, 4, 4, 0.03, 763);
+  const std::vector<ObjectId> objects = {3, 3, 7, 3, 11};
+  for (size_t batch_size : {2u, 32u}) {
+    std::vector<ClassificationResult> classified;
+    std::vector<ProximityResult> near;
+    for (bool use_multiple : {false, true}) {
+      KnnClassifierParams classify;
+      classify.batch_size = batch_size;
+      classify.use_multiple = use_multiple;
+      auto db = OpenDb(dataset);
+      auto c = ClassifyObjects(db.get(), objects, classify);
+      ASSERT_TRUE(c.ok()) << c.status().ToString();
+      classified.push_back(*c);
+      ProximityParams proximity;
+      proximity.batch_size = batch_size;
+      proximity.use_multiple = use_multiple;
+      db = OpenDb(dataset);
+      auto p = AnalyzeProximity(db.get(), objects, proximity);
+      ASSERT_TRUE(p.ok()) << p.status().ToString();
+      near.push_back(*p);
+    }
+    EXPECT_EQ(classified[0].predicted, classified[1].predicted);
+    EXPECT_EQ(classified[0].accuracy, classified[1].accuracy);
+    EXPECT_EQ(near[0].top_objects, near[1].top_objects);
+    EXPECT_EQ(near[0].common_labels, near[1].common_labels);
+  }
+}
+
+TEST(TransformationTest, ZeroBatchSizeIsRejected) {
+  Dataset dataset = MakeGaussianClustersDataset(200, 3, 2, 0.05, 765);
+  auto db = OpenDb(dataset);
+  for (bool use_multiple : {false, true}) {
+    AssociationParams rules;
+    rules.batch_size = 0;
+    rules.use_multiple = use_multiple;
+    EXPECT_TRUE(
+        MineNeighborhoodRules(db.get(), rules).status().IsInvalidArgument());
+    ProximityParams proximity;
+    proximity.batch_size = 0;
+    proximity.use_multiple = use_multiple;
+    EXPECT_TRUE(AnalyzeProximity(db.get(), {1, 2}, proximity)
+                    .status()
+                    .IsInvalidArgument());
+    TrendParams trend;
+    trend.batch_size = 0;
+    trend.use_multiple = use_multiple;
+    EXPECT_TRUE(DetectTrend(db.get(), 0, trend).status().IsInvalidArgument());
+  }
+}
+
+// Results of mining runs that follow each other on one database. Object
+// queries use the object id as query id whatever their type, so each run
+// meets the buffered states that the run before left under the same ids
+// for another k or eps.
+struct MixedTypeRuns {
+  std::vector<std::vector<int32_t>> predicted;  // k = 5, then k = 7
+  std::vector<AnswerSet> graph;
+  std::vector<std::vector<int32_t>> clusters;  // eps 0.05, then 0.08
+  std::vector<ObjectId> optics_order;
+  std::vector<double> optics_reachability;
+};
+
+void RunMixedTypes(const Dataset& dataset, bool use_multiple,
+                   MixedTypeRuns* out) {
+  auto db = OpenDb(dataset);
+  std::vector<ObjectId> objects;
+  for (ObjectId id = 0; id < dataset.size(); id += 7) objects.push_back(id);
+  for (size_t k : {5u, 7u}) {
+    KnnClassifierParams params;
+    params.k = k;
+    params.use_multiple = use_multiple;
+    auto got = ClassifyObjects(db.get(), objects, params);
+    ASSERT_TRUE(got.ok()) << "k=" << k << ": " << got.status().ToString();
+    out->predicted.push_back(got->predicted);
+  }
+  KnnGraphParams graph;
+  graph.use_multiple = use_multiple;
+  auto g = BuildKnnGraph(db.get(), graph);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  out->graph = g->neighbors;
+  for (double eps : {0.05, 0.08}) {
+    DbscanParams params;
+    params.eps = eps;
+    params.use_multiple = use_multiple;
+    auto got = RunDbscan(db.get(), params);
+    ASSERT_TRUE(got.ok()) << "eps=" << eps << ": " << got.status().ToString();
+    out->clusters.push_back(got->cluster_of);
+  }
+  OpticsParams optics;
+  optics.eps = 0.1;
+  optics.use_multiple = use_multiple;
+  auto o = RunOptics(db.get(), optics);
+  ASSERT_TRUE(o.ok()) << o.status().ToString();
+  out->optics_order = o->ordering;
+  out->optics_reachability = o->reachability;
+}
+
+TEST(TransformationTest, RunsWithDifferentQueryTypesShareOneDatabase) {
+  Dataset dataset = MakeGaussianClustersDataset(600, 3, 4, 0.02, 767);
+  MixedTypeRuns single, multi;
+  ASSERT_NO_FATAL_FAILURE(RunMixedTypes(dataset, false, &single));
+  ASSERT_NO_FATAL_FAILURE(RunMixedTypes(dataset, true, &multi));
+  EXPECT_EQ(single.predicted, multi.predicted);
+  EXPECT_EQ(single.graph, multi.graph);
+  EXPECT_EQ(single.clusters, multi.clusters);
+  EXPECT_EQ(single.optics_order, multi.optics_order);
+  EXPECT_EQ(single.optics_reachability, multi.optics_reachability);
 }
 
 // ---------------------------------------------------------------------
@@ -396,6 +536,28 @@ TEST(ExplorationSimTest, StreamGeneratorMatchesQueryCount) {
   auto stream = GenerateExplorationQueryStream(db.get(), params);
   ASSERT_TRUE(stream.ok());
   EXPECT_EQ(stream->size(), 2u + 2u * 2u * 4u);
+}
+
+TEST(ExplorationSimTest, QueryStreamIsTheSameInBothModes) {
+  Dataset dataset = MakeUniformDataset(700, 8, 769);
+  ExplorationSimParams params;
+  params.num_users = 3;
+  params.k = 4;
+  params.num_rounds = 2;
+  std::vector<std::vector<ObjectId>> streams;
+  for (bool use_multiple : {false, true}) {
+    params.use_multiple = use_multiple;
+    auto db = OpenDb(dataset);
+    auto got = RunExplorationSim(db.get(), params);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->queries_issued, got->query_stream.size());
+    streams.push_back(got->query_stream);
+  }
+  EXPECT_EQ(streams[0], streams[1]);
+  auto db = OpenDb(dataset);
+  auto generated = GenerateExplorationQueryStream(db.get(), params);
+  ASSERT_TRUE(generated.ok());
+  EXPECT_EQ(*generated, streams[1]);
 }
 
 // ---------------------------------------------------------------------
