@@ -181,9 +181,7 @@ bool RunFailoverOnce(const Dataset& dataset, size_t servers,
                  reference.status().ToString().c_str());
     return false;
   }
-  WallTimer ref_timer;
   auto expected = (*reference)->ExecuteMultipleAll(queries);
-  const double wall_ms_faultfree = ref_timer.ElapsedMillis();
   if (!expected.ok()) {
     std::fprintf(stderr, "fault-free run: %s\n",
                  expected.status().ToString().c_str());
@@ -203,9 +201,7 @@ bool RunFailoverOnce(const Dataset& dataset, size_t servers,
   }
 
   injectors[crash_server]->Crash();
-  WallTimer timer;
   auto got = (*cluster)->ExecuteMultipleAllPartial(queries);
-  const double wall_ms_faulty = timer.ElapsedMillis();
   if (!got.ok()) {
     std::fprintf(stderr, "crashed run: %s\n", got.status().ToString().c_str());
     return false;
@@ -215,7 +211,6 @@ bool RunFailoverOnce(const Dataset& dataset, size_t servers,
   const double completeness =
       static_cast<double>(servers - got->missing_servers.size()) /
       static_cast<double>(servers);
-  const double added_latency_ms = wall_ms_faulty - wall_ms_faultfree;
 
   // Server back: a fresh batch (new query ids, same vectors) must be
   // complete and bit-identical again without any replica re-issue.
@@ -227,14 +222,12 @@ bool RunFailoverOnce(const Dataset& dataset, size_t servers,
                                  BitIdentical(restored->answers, *expected);
 
   std::printf("r=%zu crash=%zu  complete=%d bit_identical=%d missing=%zu  "
-              "failovers=%llu reissues=%llu restored=%d  "
-              "wall %.2fms -> %.2fms (%+.2fms)\n",
+              "failovers=%llu reissues=%llu restored=%d\n",
               r, crash_server, complete ? 1 : 0, bit_identical ? 1 : 0,
               got->missing_servers.size(),
               static_cast<unsigned long long>(got->failovers),
               static_cast<unsigned long long>(got->replica_reissues),
-              restored_complete ? 1 : 0, wall_ms_faultfree, wall_ms_faulty,
-              added_latency_ms);
+              restored_complete ? 1 : 0);
 
   if (json != nullptr && json->enabled()) {
     json->BeginRecord("micro_robust");
@@ -253,9 +246,6 @@ bool RunFailoverOnce(const Dataset& dataset, size_t servers,
               static_cast<int64_t>(got->replica_reissues));
     json->Int("restored_complete", restored_complete ? 1 : 0);
     json->Num("completeness", completeness);
-    json->Num("wall_ms_faultfree", wall_ms_faultfree);
-    json->Num("wall_ms_faulty", wall_ms_faulty);
-    json->Num("added_latency_ms", added_latency_ms);
   }
 
   // The failover contract this binary enforces (CI runs it as a check,

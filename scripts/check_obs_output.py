@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validates the observability artifacts the obs and load contracts produce.
+"""Validates the observability artifacts the obs contract produces.
 
 Checks three kinds of files:
   --prometheus FILE   Prometheus text exposition: every sample line must

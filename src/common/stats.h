@@ -116,9 +116,10 @@ struct QueryStats {
   // boundaries when MultiQueryOptions::enable_attribution is on (and a
   // metrics sink is attached — a null sink always disables them). Unlike
   // the counters above these are wall times: additive across sequential
-  // work, but they double-count work that ran in parallel — a caller that
-  // wants them to sum to elapsed time (the load harness's attribution
-  // check) must execute sequentially per call.
+  // work, but a sum over work that ran in parallel counts the overlap once
+  // per part. So a threaded SharedNothingCluster also returns the batch's
+  // critical path (CriticalPath, core/multi_query.h), and the scheduler's
+  // latency components are taken from that.
   /// Whole ExecuteInternal (shifting-window) calls.
   double attr_window_micros = 0.0;
   /// Query-distance matrix builds (Sec. 5.2 setup).

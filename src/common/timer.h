@@ -7,6 +7,12 @@
 
 namespace msq {
 
+/// Microseconds from `start` to `end` of the steady clock.
+inline double MicrosBetween(std::chrono::steady_clock::time_point start,
+                            std::chrono::steady_clock::time_point end) {
+  return std::chrono::duration<double, std::micro>(end - start).count();
+}
+
 /// Starts on construction; ElapsedMillis()/ElapsedMicros() read without
 /// stopping; Reset() restarts.
 class WallTimer {

@@ -12,6 +12,7 @@
 #define MSQ_CORE_MULTI_QUERY_H_
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -78,6 +79,18 @@ struct MultiQueryResult {
   Status status;
 };
 
+/// The wall times a batch actually waited for, when parts of it ran in
+/// parallel: summed QueryStats::attr_* count overlapping work once per
+/// part, so they overstate the batch's latency.
+struct CriticalPath {
+  /// The attr_* times along the path: per parallel round, those of the
+  /// part that finished last; everything that ran sequentially, in full.
+  QueryStats stats;
+  /// The rest of each parallel round's wall time: the wait before its
+  /// last part started plus the wake-up after that part ended.
+  double dispatch_micros = 0.0;
+};
+
 /// Result of completing a whole batch with per-query failure isolation.
 struct BatchResult {
   /// answers[i] corresponds to queries[i]: complete when statuses[i] is
@@ -85,6 +98,10 @@ struct BatchResult {
   /// when the query's window failed outright (e.g. IOError).
   std::vector<AnswerSet> answers;
   std::vector<Status> statuses;
+  /// Set by executors that run parts of the batch in parallel
+  /// (SharedNothingCluster::ExecuteBatch); the serving layer attributes
+  /// latency from it instead of from the summed stats.
+  std::optional<CriticalPath> critical_path;
 };
 
 /// Executes multiple similarity queries against one backend.

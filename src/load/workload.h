@@ -1,4 +1,4 @@
-// Workload modeling for the open-loop load harness.
+// Workload modeling for open-loop load (bench/suite/open_loop.h).
 //
 // The traffic shape follows the "web application" setting of the
 // exploratory-query literature (see PAPERS.md): queries arrive as a
@@ -66,6 +66,17 @@ class PoissonArrivals {
  private:
   double mean_nanos_;
   Rng rng_;
+};
+
+/// The id scheme of a tenant-scoped query stream: (tenant_index <<
+/// kTenantIdShift) | object_id. A popular object re-queried within one
+/// tenant reuses its id, so those submissions coalesce in the scheduler or
+/// hit the engine's answer buffer (the web-workload effect the paper's
+/// buffering targets); two tenants never collide on an id, even when they
+/// query the same object with different k. (Named for the generator that
+/// first assigned these ids; bench/suite spells the constant this way.)
+struct LoadGenerator {
+  static constexpr int kTenantIdShift = 40;
 };
 
 /// Weighted tenant mix. Weights are normalized at construction; an empty

@@ -53,12 +53,10 @@
 #include "mining/proximity.h"    // IWYU pragma: export
 #include "mining/similarity_join.h"  // IWYU pragma: export
 #include "mining/trend.h"        // IWYU pragma: export
-#include "load/generator.h"      // IWYU pragma: export
 #include "load/workload.h"       // IWYU pragma: export
 #include "mtree/mtree.h"         // IWYU pragma: export
 #include "obs/attribution.h"     // IWYU pragma: export
 #include "obs/metrics.h"         // IWYU pragma: export
-#include "obs/reporter.h"        // IWYU pragma: export
 #include "obs/sink.h"            // IWYU pragma: export
 #include "obs/trace.h"           // IWYU pragma: export
 #include "obs/window.h"          // IWYU pragma: export

@@ -36,13 +36,4 @@ std::vector<double> LatencySecondsBoundaries() {
   return b;
 }
 
-double BatchAttribution::AttributedMicros() const {
-  double batch_level = 0.0;
-  for (size_t i = 1; i < kNumLatencyComponents; ++i) {
-    batch_level += component_micros[i];
-  }
-  return component_micros[static_cast<size_t>(LatencyComponent::kQueueWait)] +
-         static_cast<double>(batch_size) * batch_level;
-}
-
 }  // namespace msq::obs

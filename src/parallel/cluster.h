@@ -113,7 +113,7 @@ struct ClusterOptions {
   /// from the file with the host's fault injector attached — so replica
   /// page misses are *real* positioned reads against the single-file
   /// store, and injected faults/latency spikes hit real preads. The
-  /// directory must already exist. The load harness's mode.
+  /// directory must already exist. The serve benchmark's mode.
   std::string store_dir;
 };
 
@@ -152,6 +152,11 @@ struct ClusterBatchResult {
   /// (replica lock waits, failed attempts' tails, backoff sleeps, and the
   /// coordinator-side merge).
   QueryStats stats;
+  /// The call's latency along its critical path (Sec. 5.3's slowest
+  /// server): per round run on the pool, the attr_* times of the attempt
+  /// that finished last, the rest of the round charged to dispatch. A
+  /// sequential round contributes every attempt; the merge is on the path.
+  CriticalPath critical_path;
 };
 
 /// A simulated shared-nothing cluster of MetricDatabases.
@@ -195,11 +200,9 @@ class SharedNothingCluster {
   /// reports per-query statuses — all OK when the answers are complete,
   /// all kUnavailable naming the lost partitions under quorum loss (kNN
   /// answers would silently miss true neighbors otherwise). The call's
-  /// QueryStats, including its attr_* latency attribution, is merged into
-  /// `stats` when non-null. Create the cluster with use_threads = false
-  /// when the attributed wall times must sum to the call's elapsed time
-  /// (parallel per-partition execution double-counts wall time; the
-  /// harness's attribution check needs sequential execution).
+  /// QueryStats, summed over every attempt, is merged into `stats` when
+  /// non-null; the result's critical_path carries the wall times the call
+  /// waited for, which is what the scheduler attributes latency from.
   StatusOr<BatchResult> ExecuteBatch(const std::vector<Query>& queries,
                                      QueryStats* stats);
 
@@ -281,6 +284,7 @@ class SharedNothingCluster {
     uint64_t failovers = 0;
     uint64_t replica_reissues = 0;
     QueryStats stats;
+    CriticalPath critical_path;
   };
 
   /// Runs the batch over all partitions with retry + failover applied and

@@ -11,17 +11,6 @@
 
 namespace msq {
 
-namespace {
-
-double MicrosSince(std::chrono::steady_clock::time_point start,
-                   std::chrono::steady_clock::time_point now) {
-  return std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
-             now - start)
-      .count();
-}
-
-}  // namespace
-
 BatchScheduler::BatchScheduler(MultiQueryEngine* engine, ThreadPool* pool,
                                const BatchSchedulerOptions& options,
                                AggregateStats* stats_sink)
@@ -338,7 +327,7 @@ void BatchScheduler::DispatchLocked(
   if (admission_wait_micros_ != nullptr) {
     for (const Pending& entry : *batch) {
       admission_wait_micros_->Observe(
-          MicrosSince(entry.submit_time, flush_time));
+          MicrosBetween(entry.submit_time, flush_time));
     }
   }
   if (tracer_ != nullptr && tracer_->enabled()) {
@@ -347,7 +336,7 @@ void BatchScheduler::DispatchLocked(
     obs::TraceEvent event;
     event.name = "scheduler.admission_wait";
     event.category = "scheduler";
-    event.dur_micros = MicrosSince(batch->front().submit_time, flush_time);
+    event.dur_micros = MicrosBetween(batch->front().submit_time, flush_time);
     event.ts_micros = tracer_->NowMicros() - event.dur_micros;
     event.tid = obs::Tracer::CurrentThreadId();
     event.arg_keys[0] = "m";
@@ -388,15 +377,23 @@ void BatchScheduler::DispatchLocked(
     // End-to-end latency is measured to execution completion (not to
     // promise fulfilment below: waiter wake-up is the client's time).
     const auto done_time = std::chrono::steady_clock::now();
-    RecordAttribution(*batch, batch_stats, flush_time, task_start, done_time);
+    // An executor that ran parts of the batch in parallel reports the
+    // path the batch waited along; its summed stats would count the
+    // overlapping parts once each.
+    const CriticalPath* path = result.ok() && result->critical_path
+                                   ? &*result->critical_path
+                                   : nullptr;
+    RecordAttribution(*batch, path != nullptr ? path->stats : batch_stats,
+                      path != nullptr ? path->dispatch_micros : 0.0,
+                      flush_time, task_start);
 
     {
       obs::ScopedSpan fulfil_span(tracer_, "scheduler.fulfil", "scheduler");
       for (size_t i = 0; i < batch->size(); ++i) {
-        if (latency_micros_ != nullptr) {
-          latency_micros_->Observe(
-              MicrosSince((*batch)[i].submit_time, done_time));
-        }
+        const double e2e_micros =
+            MicrosBetween((*batch)[i].submit_time, done_time);
+        if (latency_micros_ != nullptr) latency_micros_->Observe(e2e_micros);
+        if (latency_window_ != nullptr) latency_window_->Observe(e2e_micros);
         for (std::promise<StatusOr<AnswerSet>>& p : (*batch)[i].promises) {
           if (!result.ok()) {
             // A batch-level failure (validation: the engine refused the
@@ -429,7 +426,7 @@ void BatchScheduler::DispatchLocked(
       auto lane = lane_slos_.find(entry.lane);
       if (lane != lane_slos_.end()) {
         LaneSlo& state = lane->second;
-        state.ring[state.next] = MicrosSince(entry.submit_time, done_time);
+        state.ring[state.next] = MicrosBetween(entry.submit_time, done_time);
         state.next = (state.next + 1) % state.ring.size();
         if (state.count < state.ring.size()) ++state.count;
       }
@@ -440,60 +437,45 @@ void BatchScheduler::DispatchLocked(
 }
 
 void BatchScheduler::RecordAttribution(
-    const std::vector<Pending>& batch, const QueryStats& batch_stats,
+    const std::vector<Pending>& batch, const QueryStats& attr,
+    double executor_dispatch_micros,
     std::chrono::steady_clock::time_point flush_time,
-    std::chrono::steady_clock::time_point task_start,
-    std::chrono::steady_clock::time_point done_time) {
-  const bool export_components = component_seconds_[0] != nullptr;
-  if (!export_components && latency_window_ == nullptr &&
-      !options_.attribution_hook) {
-    return;
-  }
+    std::chrono::steady_clock::time_point task_start) {
+  if (component_seconds_[0] == nullptr) return;
   using LC = obs::LatencyComponent;
-  obs::BatchAttribution attrib;
-  attrib.batch_size = batch.size();
-  for (const Pending& entry : batch) {
-    attrib.component(LC::kQueueWait) +=
-        MicrosSince(entry.submit_time, flush_time);
-    attrib.e2e_micros += MicrosSince(entry.submit_time, done_time);
-  }
-  attrib.component(LC::kDispatch) = MicrosSince(flush_time, task_start);
-  attrib.component(LC::kLockWait) = batch_stats.attr_lock_wait_micros;
-  attrib.component(LC::kMatrixBuild) = batch_stats.attr_matrix_micros;
-  attrib.component(LC::kPageIo) = batch_stats.attr_page_io_micros;
-  attrib.component(LC::kKernel) = batch_stats.attr_kernel_micros;
-  // The one residual component: engine window time not covered by the
+  // The batch-level stages, each lived through in full by every query of
+  // the batch (that is what batching means for latency).
+  double micros[obs::kNumLatencyComponents] = {};
+  auto component = [&micros](LC c) -> double& {
+    return micros[static_cast<size_t>(c)];
+  };
+  component(LC::kDispatch) =
+      MicrosBetween(flush_time, task_start) + executor_dispatch_micros;
+  component(LC::kLockWait) = attr.attr_lock_wait_micros;
+  component(LC::kMatrixBuild) = attr.attr_matrix_micros;
+  component(LC::kPageIo) = attr.attr_page_io_micros;
+  component(LC::kKernel) = attr.attr_kernel_micros;
+  // The one residual component: engine time not covered by the
   // independently-measured stages (candidate filtering, heap maintenance,
-  // buffer bookkeeping). Clamped — timer nesting can make the parts
+  // buffer bookkeeping; on a cluster's critical path also the attempt's
+  // time outside its windows). Clamped — timer nesting can make the parts
   // fractionally exceed the whole.
-  attrib.component(LC::kEngineOther) =
-      std::max(0.0, batch_stats.attr_window_micros -
-                        batch_stats.attr_matrix_micros -
-                        batch_stats.attr_page_io_micros -
-                        batch_stats.attr_kernel_micros);
-  attrib.component(LC::kRetry) = batch_stats.attr_retry_micros;
-  attrib.component(LC::kMerge) = batch_stats.attr_merge_micros;
+  component(LC::kEngineOther) =
+      std::max(0.0, attr.attr_window_micros - attr.attr_matrix_micros -
+                        attr.attr_page_io_micros - attr.attr_kernel_micros);
+  component(LC::kRetry) = attr.attr_retry_micros;
+  component(LC::kMerge) = attr.attr_merge_micros;
 
-  if (export_components) {
-    // Every query of the batch experienced the batch-level stages in full;
-    // queue wait is per-query.
-    for (const Pending& entry : batch) {
-      component_seconds_[static_cast<size_t>(LC::kQueueWait)]->Observe(
-          MicrosSince(entry.submit_time, flush_time) * 1e-6);
-    }
-    for (size_t c = 1; c < obs::kNumLatencyComponents; ++c) {
-      const double seconds = attrib.component_micros[c] * 1e-6;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        component_seconds_[c]->Observe(seconds);
-      }
+  // Queue wait is the one per-query stage.
+  for (const Pending& entry : batch) {
+    component_seconds_[static_cast<size_t>(LC::kQueueWait)]->Observe(
+        MicrosBetween(entry.submit_time, flush_time) * 1e-6);
+  }
+  for (size_t c = 1; c < obs::kNumLatencyComponents; ++c) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      component_seconds_[c]->Observe(micros[c] * 1e-6);
     }
   }
-  if (latency_window_ != nullptr) {
-    for (const Pending& entry : batch) {
-      latency_window_->Observe(MicrosSince(entry.submit_time, done_time));
-    }
-  }
-  if (options_.attribution_hook) options_.attribution_hook(attrib);
 }
 
 void BatchScheduler::Flush() {

@@ -69,7 +69,9 @@ namespace msq {
 /// pool threads, possibly concurrently: a custom executor owns its own
 /// serialization. The QueryStats* is the batch's private stats (never
 /// shared between concurrent batches); executors that measure latency
-/// attribution charge its attr_* fields.
+/// attribution charge its attr_* fields. An executor that runs parts of
+/// the batch in parallel also returns BatchResult::critical_path, and the
+/// latency components are taken from that path instead.
 using BatchExecutor = std::function<StatusOr<BatchResult>(
     const std::vector<Query>&, QueryStats*)>;
 
@@ -134,11 +136,6 @@ struct BatchSchedulerOptions {
   /// this horizon, so p50/p99/p999 *over the last N seconds* are
   /// exportable alongside the cumulative msq_scheduler_latency_micros.
   double latency_window_seconds = 0.0;
-  /// Called once per executed batch (from the executing pool thread) with
-  /// the batch's latency attribution — the load harness's hook for
-  /// checking that attributed component times sum to measured end-to-end
-  /// latency. The callback owns its synchronization.
-  std::function<void(const obs::BatchAttribution&)> attribution_hook;
   /// Observability sink for the `msq_scheduler_*` instruments (queue depth,
   /// admission wait, end-to-end latency, flush reasons), the
   /// `msq_latency_component_seconds{component=...}` attribution histograms,
@@ -289,15 +286,17 @@ class BatchScheduler {
   void DispatchLocked(std::shared_ptr<std::vector<Pending>> batch,
                       std::chrono::steady_clock::time_point flush_time);
   void DeadlineLoop();
-  /// Builds the executed batch's BatchAttribution from the stage
-  /// timestamps plus the attr_* fields the executor charged, exports it to
-  /// the component histograms / sliding window, and invokes the hook.
-  /// Called from the executing pool thread.
+  /// Splits the executed batch's latency into the obs::LatencyComponent
+  /// stages and exports them to msq_latency_component_seconds: queue wait
+  /// and dispatch from the stage timestamps plus the executor's own
+  /// `executor_dispatch_micros`, the rest from the attr_* times of `attr`
+  /// (the executor's critical path, or the batch's stats when it reports
+  /// none). Called from the executing pool thread.
   void RecordAttribution(const std::vector<Pending>& batch,
-                         const QueryStats& batch_stats,
+                         const QueryStats& attr,
+                         double executor_dispatch_micros,
                          std::chrono::steady_clock::time_point flush_time,
-                         std::chrono::steady_clock::time_point task_start,
-                         std::chrono::steady_clock::time_point done_time);
+                         std::chrono::steady_clock::time_point task_start);
 
   MultiQueryEngine* engine_;
   ThreadPool* pool_;

@@ -5,8 +5,11 @@
 // concurrent-batches-vs-flapping-server stress the TSan CI job runs.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -19,7 +22,9 @@
 #include "obs/sink.h"
 #include "parallel/cluster.h"
 #include "parallel/decluster.h"
+#include "parallel/thread_pool.h"
 #include "robust/fault_injector.h"
+#include "service/batch_scheduler.h"
 #include "tests/test_util.h"
 
 namespace msq {
@@ -79,6 +84,8 @@ struct FailoverConfig {
   ClusterRetryPolicy retry;
   CircuitBreakerOptions breaker;
   const obs::MetricsSink* metrics = nullptr;
+  /// Run partitions on this pool instead of a cluster-owned one.
+  ThreadPool* shared_pool = nullptr;
 };
 
 FailoverFixture MakeReplicatedCluster(uint64_t seed,
@@ -95,6 +102,7 @@ FailoverFixture MakeReplicatedCluster(uint64_t seed,
   options.retry = cfg.retry;
   options.breaker = cfg.breaker;
   options.metrics = cfg.metrics;
+  options.shared_pool = cfg.shared_pool;
   robust::FaultPlan plan;
   plan.metrics = nullptr;
   for (size_t i = 0; i < cfg.servers; ++i) {
@@ -420,6 +428,115 @@ TEST(FailoverStressTest, ConcurrentBatchesAgainstFlappingServer) {
   stop.store(true, std::memory_order_relaxed);
   flapper.join();
   EXPECT_EQ(failures.load(), 0);
+
+  // Second input, chaos under load the way serving runs: the producers
+  // submit the same queries one at a time through a BatchScheduler that
+  // shares its pool with the threaded cluster and sheds on lost quorum,
+  // while a chaos thread crashes and restores servers round-robin. The
+  // next crash waits until the restored server's breaker admits work
+  // again and every execution that met the crash or routed around the
+  // server has returned, so no batch finds both replicas of a partition
+  // down.
+  ThreadPool pool(4, nullptr);
+  FailoverConfig served_cfg = cfg;
+  served_cfg.shared_pool = &pool;
+  FailoverFixture served = MakeReplicatedCluster(2115, served_cfg);
+  // Chaos phase, bumped whenever the chaos thread waits for running
+  // executions. Each execution holds the phase it started in until it
+  // returns.
+  std::mutex phase_mu;
+  std::condition_variable phase_cv;
+  int phase = 0;
+  std::multiset<int> running;
+  BatchSchedulerOptions sopts;
+  sopts.max_batch_size = 8;
+  sopts.flush_deadline = std::chrono::microseconds(500);
+  sopts.metrics = nullptr;
+  sopts.executor = [&](const std::vector<Query>& queries, QueryStats* stats) {
+    std::multiset<int>::iterator started;
+    {
+      std::lock_guard<std::mutex> lock(phase_mu);
+      started = running.insert(phase);
+    }
+    auto result = served.cluster->ExecuteBatch(queries, stats);
+    {
+      std::lock_guard<std::mutex> lock(phase_mu);
+      running.erase(started);
+    }
+    phase_cv.notify_all();
+    return result;
+  };
+  sopts.admission_check = [&served] { return served.cluster->QuorumStatus(); };
+  BatchScheduler scheduler(nullptr, &pool, sopts);
+
+  // Bumps the phase and waits out every execution that started before.
+  auto wait_for_running = [&] {
+    std::unique_lock<std::mutex> lock(phase_mu);
+    ++phase;
+    phase_cv.wait(lock, [&] {
+      return stop.load(std::memory_order_relaxed) || running.empty() ||
+             *running.begin() == phase;
+    });
+  };
+  std::atomic<int> crashes{0};
+  stop.store(false, std::memory_order_relaxed);
+  std::thread chaos([&] {
+    for (size_t victim = 0; !stop.load(std::memory_order_relaxed);
+         victim = (victim + 1) % served.injectors.size()) {
+      served.injectors[victim]->Crash();
+      crashes.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      served.injectors[victim]->Restore();
+      // First no execution that met the crash may be left to trip the
+      // breaker late; then the breaker must be closed; then no execution
+      // that routed around the server may still be running.
+      wait_for_running();
+      while (!stop.load(std::memory_order_relaxed) &&
+             served.cluster->breaker_state(victim) != BreakerState::kClosed) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      wait_for_running();
+    }
+  });
+
+  // Each call resubmits the producer's queries under fresh ids, so the
+  // engines read pages again instead of answering from their buffers.
+  // Producers keep going until every server has been crashed at least once.
+  const int min_crashes = static_cast<int>(served.injectors.size());
+  std::atomic<int> served_failures{0};
+  producers.clear();
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (uint64_t call = 0;
+           call < 1000 && (call < kCallsPerProducer ||
+                           crashes.load(std::memory_order_relaxed) <
+                               min_crashes);
+           ++call) {
+        std::vector<AnswerFuture> futures;
+        for (Query q : batches[p]) {
+          q.id += 1000 * (call + 1);
+          futures.push_back(scheduler.Submit(std::move(q)));
+        }
+        for (size_t i = 0; i < futures.size(); ++i) {
+          StatusOr<AnswerSet> got = futures[i].get();
+          if (!got.ok() || !BitIdentical({*got}, {expected[p][i]})) {
+            served_failures.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  {
+    std::lock_guard<std::mutex> lock(phase_mu);
+    stop.store(true, std::memory_order_relaxed);
+  }
+  phase_cv.notify_all();
+  chaos.join();
+  scheduler.Drain();
+  EXPECT_EQ(served_failures.load(), 0);
+  EXPECT_GE(crashes.load(), min_crashes);
+  EXPECT_GT(served.cluster->failovers(), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -1,24 +1,14 @@
 // Tests of the open-loop load layer: statistical sanity of the seeded
-// workload models (Poisson gaps, Zipf skew, tenant mix) and a short
-// end-to-end generator run against a real scheduler — every submitted
-// query must be accounted for exactly once across ok/shed/rejected/failed
-// and every OK completion must contribute a latency sample.
+// workload models (Poisson gaps, Zipf skew, tenant mix).
 
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/database.h"
-#include "dataset/generators.h"
-#include "dist/builtin_metrics.h"
-#include "load/generator.h"
 #include "load/workload.h"
-#include "parallel/thread_pool.h"
-#include "service/batch_scheduler.h"
 
 namespace msq {
 namespace {
@@ -98,114 +88,6 @@ TEST(LoadWorkloadTest, EmptyAndZeroWeightMixesAreSafe) {
   }
   // All-zero weights degrade to a uniform mix, not "always the last".
   EXPECT_NEAR(static_cast<double>(b) / 10000.0, 0.5, 0.05);
-}
-
-// ---------------------------------------------------------------------
-// End-to-end generator run
-// ---------------------------------------------------------------------
-
-TEST(LoadGeneratorTest, ShortRunAccountsForEverySubmission) {
-  Dataset dataset = MakeUniformDataset(400, 4, 1201);
-  DatabaseOptions dbopts;
-  dbopts.backend = BackendKind::kLinearScan;
-  auto db = MetricDatabase::Open(dataset, std::make_shared<EuclideanMetric>(),
-                                 dbopts);
-  ASSERT_TRUE(db.ok());
-  ThreadPool pool(2);
-  BatchSchedulerOptions sopts;
-  sopts.max_batch_size = 16;
-  sopts.flush_deadline = std::chrono::milliseconds(1);
-  sopts.metrics = nullptr;
-  BatchScheduler scheduler(&(*db)->engine(), &pool, sopts);
-
-  load::LoadOptions lopts;
-  lopts.target_qps = 500.0;
-  lopts.duration = std::chrono::milliseconds(600);
-  lopts.num_producers = 2;
-  lopts.num_waiters = 2;
-  lopts.seed = 5;
-  lopts.num_objects = dataset.size();
-  lopts.tenants = {{"fast", 0.6, 3, 0.9}, {"deep", 0.4, 8, 0.5}};
-
-  load::LoadGenerator generator(
-      &scheduler, lopts,
-      [&dataset](const load::TenantSpec& tenant, uint64_t object_id) {
-        Query q;
-        q.point = dataset.object(
-            static_cast<ObjectId>(object_id % dataset.size()));
-        q.type = QueryType::Knn(tenant.k);
-        return q;
-      });
-  load::LoadResult result = generator.Run();
-  scheduler.Drain();
-
-  EXPECT_GT(result.submitted, 0u);
-  EXPECT_EQ(result.submitted,
-            result.ok + result.shed + result.rejected + result.failed);
-  EXPECT_EQ(result.rejected, 0u);
-  EXPECT_EQ(result.failed, 0u);
-  EXPECT_EQ(result.latencies_micros.size(), result.ok);
-  EXPECT_TRUE(std::is_sorted(result.latencies_micros.begin(),
-                             result.latencies_micros.end()));
-  EXPECT_GT(result.wall_seconds, 0.0);
-  // Per-tenant counts fold back to the totals and both tenants got traffic.
-  ASSERT_EQ(result.tenants.size(), 2u);
-  uint64_t tenant_submitted = 0;
-  for (const auto& t : result.tenants) tenant_submitted += t.submitted;
-  EXPECT_EQ(tenant_submitted, result.submitted);
-  EXPECT_GT(result.tenants[0].submitted, result.tenants[1].submitted);
-  EXPECT_GT(result.tenants[1].submitted, 0u);
-  // Percentiles are monotone on the sorted latency vector.
-  EXPECT_LE(result.LatencyPercentileMicros(50),
-            result.LatencyPercentileMicros(99));
-  EXPECT_LE(result.LatencyPercentileMicros(99),
-            result.LatencyPercentileMicros(99.9));
-}
-
-// Two generator runs with the same seed submit the same number of queries
-// per tenant (the schedule is deterministic; only timing varies).
-TEST(LoadGeneratorTest, SameSeedSameSubmissionCounts) {
-  Dataset dataset = MakeUniformDataset(200, 4, 1301);
-  DatabaseOptions dbopts;
-  dbopts.backend = BackendKind::kLinearScan;
-  auto db = MetricDatabase::Open(dataset, std::make_shared<EuclideanMetric>(),
-                                 dbopts);
-  ASSERT_TRUE(db.ok());
-  ThreadPool pool(2);
-
-  auto run_once = [&] {
-    BatchSchedulerOptions sopts;
-    sopts.max_batch_size = 16;
-    sopts.flush_deadline = std::chrono::milliseconds(1);
-    sopts.metrics = nullptr;
-    BatchScheduler scheduler(&(*db)->engine(), &pool, sopts);
-    load::LoadOptions lopts;
-    lopts.target_qps = 300.0;
-    lopts.duration = std::chrono::milliseconds(400);
-    lopts.num_producers = 1;  // one producer: the schedule is a pure
-    lopts.num_waiters = 1;    // function of the seed
-    lopts.seed = 9;
-    lopts.num_objects = dataset.size();
-    load::LoadGenerator generator(
-        &scheduler, lopts,
-        [&dataset](const load::TenantSpec& tenant, uint64_t object_id) {
-          Query q;
-          q.point = dataset.object(
-              static_cast<ObjectId>(object_id % dataset.size()));
-          q.type = QueryType::Knn(tenant.k);
-          return q;
-        });
-    load::LoadResult r = generator.Run();
-    scheduler.Drain();
-    return r;
-  };
-  const load::LoadResult a = run_once();
-  const load::LoadResult b = run_once();
-  // The arrival schedule is absolute (start + cumulative gaps), so the
-  // submitted count can differ by at most the arrivals that straddle the
-  // end-of-run cutoff under scheduling noise; with a fixed seed the gap
-  // sequence is identical, making the counts equal.
-  EXPECT_EQ(a.submitted, b.submitted);
 }
 
 }  // namespace

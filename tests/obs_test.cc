@@ -14,7 +14,6 @@
 #include "dist/builtin_metrics.h"
 #include "obs/attribution.h"
 #include "obs/metrics.h"
-#include "obs/reporter.h"
 #include "obs/sink.h"
 #include "obs/trace.h"
 #include "obs/window.h"
@@ -364,7 +363,7 @@ TEST_F(ObsEngineTest, NullSinkDisablesPublication) {
 }
 
 // ---------------------------------------------------------------------
-// p999 percentile math (the tail the load harness reports)
+// p999 percentile math (the tail the serving benchmark reports)
 // ---------------------------------------------------------------------
 
 TEST(HistogramTest, P999ExactValues) {
@@ -549,12 +548,6 @@ TEST(AttributionTest, ComponentNamesAndAccounting) {
                "queue_wait");
   EXPECT_STREQ(obs::LatencyComponentName(obs::LatencyComponent::kMerge),
                "merge");
-  obs::BatchAttribution attr;
-  attr.batch_size = 4;
-  attr.component(obs::LatencyComponent::kQueueWait) = 100.0;  // summed
-  attr.component(obs::LatencyComponent::kPageIo) = 10.0;      // per batch
-  attr.component(obs::LatencyComponent::kKernel) = 5.0;
-  EXPECT_DOUBLE_EQ(attr.AttributedMicros(), 100.0 + 4 * 15.0);
 }
 
 TEST_F(ObsEngineTest, EngineSpansAppearInTrace) {

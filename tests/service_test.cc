@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -17,6 +18,8 @@
 #include "core/database.h"
 #include "dataset/generators.h"
 #include "dist/builtin_metrics.h"
+#include "load/workload.h"
+#include "parallel/cluster.h"
 #include "parallel/thread_pool.h"
 #include "service/batch_scheduler.h"
 #include "tests/test_util.h"
@@ -744,6 +747,37 @@ TEST(BatchSchedulerTest, NoEngineAndNoExecutorRejectsSubmissions) {
   EXPECT_TRUE(got.status().IsInvalidArgument());
 }
 
+/// What the scheduler exported about latency, in microseconds: the sum
+/// over every component of msq_latency_component_seconds (attributed) and
+/// the sum and count of msq_scheduler_latency_micros (end to end).
+struct ExportedLatency {
+  double attributed_micros = 0.0;
+  double e2e_micros = 0.0;
+  uint64_t queries = 0;
+};
+
+obs::Histogram* ComponentHistogram(obs::MetricsRegistry& registry,
+                                   size_t component) {
+  return registry.GetHistogram(
+      "msq_latency_component_seconds", obs::LatencySecondsBoundaries(), "",
+      std::string("component=\"") +
+          obs::LatencyComponentName(
+              static_cast<obs::LatencyComponent>(component)) +
+          "\"");
+}
+
+ExportedLatency ReadExportedLatency(obs::MetricsRegistry& registry) {
+  ExportedLatency out;
+  for (size_t c = 0; c < obs::kNumLatencyComponents; ++c) {
+    out.attributed_micros += 1e6 * ComponentHistogram(registry, c)->Sum();
+  }
+  obs::Histogram* e2e = registry.GetHistogram(
+      "msq_scheduler_latency_micros", obs::LatencyBoundariesMicros(), "");
+  out.e2e_micros = e2e->Sum();
+  out.queries = e2e->Count();
+  return out;
+}
+
 TEST(BatchSchedulerTest, AttributionComponentsCoverEndToEndLatency) {
   Dataset dataset = MakeUniformDataset(500, 4, 957);
   auto db = OpenScanDb(dataset);
@@ -755,16 +789,6 @@ TEST(BatchSchedulerTest, AttributionComponentsCoverEndToEndLatency) {
   options.flush_deadline = std::chrono::milliseconds(1);
   options.metrics = &sink;
   options.latency_window_seconds = 30.0;
-  double e2e_micros = 0.0;
-  double attributed_micros = 0.0;
-  uint64_t hook_batches = 0;
-  std::mutex mu;
-  options.attribution_hook = [&](const obs::BatchAttribution& attr) {
-    std::lock_guard<std::mutex> lock(mu);
-    ++hook_batches;
-    e2e_micros += attr.e2e_micros;
-    attributed_micros += attr.AttributedMicros();
-  };
   BatchScheduler scheduler(&db->engine(), &pool, options);
 
   const auto queries = MixedQueryStream(dataset, 64, 959);
@@ -773,29 +797,22 @@ TEST(BatchSchedulerTest, AttributionComponentsCoverEndToEndLatency) {
   scheduler.Drain();
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
 
-  std::lock_guard<std::mutex> lock(mu);
-  EXPECT_GT(hook_batches, 0u);
   // Every component histogram cell observed once per query per batch.
   for (size_t c = 0; c < obs::kNumLatencyComponents; ++c) {
-    const char* name =
-        obs::LatencyComponentName(static_cast<obs::LatencyComponent>(c));
-    EXPECT_EQ(registry
-                  .GetHistogram("msq_latency_component_seconds",
-                                obs::LatencySecondsBoundaries(), "",
-                                std::string("component=\"") + name + "\"")
-                  ->Count(),
-              queries.size())
-        << name;
+    EXPECT_EQ(ComponentHistogram(registry, c)->Count(), queries.size())
+        << obs::LatencyComponentName(static_cast<obs::LatencyComponent>(c));
   }
   // The attributed components must essentially cover measured end-to-end
   // latency: nothing big unaccounted, nothing double-counted. Engine-other
   // is the only residual (clamped >= 0), so attributed <= e2e always holds
   // up to timer granularity; allow 10% slack on the covering direction
   // for scheduling noise in CI.
-  EXPECT_GT(attributed_micros, 0.0);
-  EXPECT_GT(e2e_micros, 0.0);
-  EXPECT_LE(attributed_micros, e2e_micros * 1.10);
-  EXPECT_GE(attributed_micros, e2e_micros * 0.50);
+  const ExportedLatency exported = ReadExportedLatency(registry);
+  EXPECT_EQ(exported.queries, queries.size());
+  EXPECT_GT(exported.attributed_micros, 0.0);
+  EXPECT_GT(exported.e2e_micros, 0.0);
+  EXPECT_LE(exported.attributed_micros, exported.e2e_micros * 1.10);
+  EXPECT_GE(exported.attributed_micros, exported.e2e_micros * 0.50);
   // The sliding-window latency histogram saw every query too.
   EXPECT_EQ(registry
                 .GetSlidingHistogram("msq_scheduler_latency_window_micros",
@@ -804,6 +821,85 @@ TEST(BatchSchedulerTest, AttributionComponentsCoverEndToEndLatency) {
                 ->Snap()
                 .count,
             queries.size());
+}
+
+// Serve's shape, in memory: two open-loop producers submit kNN queries
+// through the scheduler to a 4x2 X-tree cluster that runs its partitions
+// on the scheduler's own pool. Partitions overlap, so the exported
+// components must follow each batch's critical path to add up to the
+// exported end-to-end latency; summing every partition's wall time
+// overstates it by well over half.
+TEST(BatchSchedulerTest, AttributionFollowsTheCriticalPathWithThreadsOn) {
+  TychoLikeOptions gen;
+  gen.n = 5000;
+  gen.seed = 963;
+  const Dataset dataset = MakeTychoLikeDataset(gen);
+  obs::MetricsRegistry registry;
+  obs::MetricsSink sink(&registry, nullptr);
+  ThreadPool pool(4, &sink);
+  ClusterOptions copts;
+  copts.num_servers = 4;
+  copts.replication_factor = 2;
+  copts.server_options.backend = BackendKind::kXTree;
+  copts.server_options.multi.metrics = &sink;
+  copts.use_threads = true;
+  copts.shared_pool = &pool;
+  copts.metrics = &sink;
+  auto cluster = SharedNothingCluster::Create(
+      dataset, std::make_shared<EuclideanMetric>(), copts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+
+  BatchSchedulerOptions options;
+  options.max_batch_size = 32;
+  options.flush_deadline = std::chrono::microseconds(2000);
+  options.metrics = &sink;
+  options.executor = [&](const std::vector<Query>& queries,
+                         QueryStats* stats) {
+    return (*cluster)->ExecuteBatch(queries, stats);
+  };
+  BatchScheduler scheduler(nullptr, &pool, options);
+
+  constexpr size_t kProducers = 2;
+  constexpr size_t kPerProducer = 500;
+  constexpr double kQpsPerProducer = 1500.0;
+  std::vector<std::vector<AnswerFuture>> futures(kProducers);
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      load::PoissonArrivals arrivals(kQpsPerProducer, 965 + p);
+      Rng rng(967 + p);
+      auto next = std::chrono::steady_clock::now();
+      for (size_t i = 0; i < kPerProducer; ++i) {
+        next += arrivals.NextGap();
+        std::this_thread::sleep_until(next);
+        Query q;
+        q.id = (QueryId{p + 1} << load::LoadGenerator::kTenantIdShift) | i;
+        q.point = dataset.object(
+            static_cast<ObjectId>(rng.NextIndex(dataset.size())));
+        q.type = QueryType::Knn(10);
+        futures[p].push_back(scheduler.Submit(std::move(q)));
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  scheduler.Drain();
+  for (auto& producer_futures : futures) {
+    for (AnswerFuture& f : producer_futures) {
+      auto got = f.get();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->size(), 10u);
+    }
+  }
+
+  const ExportedLatency exported = ReadExportedLatency(registry);
+  ASSERT_EQ(exported.queries, kProducers * kPerProducer);
+  ASSERT_GT(exported.e2e_micros, 0.0);
+  const double mismatch =
+      std::abs(exported.attributed_micros - exported.e2e_micros) /
+      exported.e2e_micros;
+  EXPECT_LE(mismatch, 0.05) << "attributed " << exported.attributed_micros
+                            << " us vs end-to-end " << exported.e2e_micros
+                            << " us";
 }
 
 }  // namespace
