@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "obs/sink.h"
 #include "obs/trace.h"
-#include "obs/window.h"
 
 namespace msq {
 namespace {
@@ -38,18 +37,6 @@ void BM_HistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramObserve);
 
-void BM_SlidingWindowObserve(benchmark::State& state) {
-  obs::SlidingWindowHistogram hist(obs::LatencyBoundariesMicros(),
-                                   std::chrono::seconds(10));
-  double v = 0.5;
-  for (auto _ : state) {
-    hist.Observe(v);
-    v = v < 1e6 ? v * 1.7 : 0.5;  // sweep across buckets
-  }
-  benchmark::DoNotOptimize(hist.Snap().count);
-}
-BENCHMARK(BM_SlidingWindowObserve);
-
 void BM_ScopedSpanDisabled(benchmark::State& state) {
   obs::Tracer tracer;  // disabled by default
   for (auto _ : state) {
@@ -64,8 +51,7 @@ BENCHMARK(BM_ScopedSpanDisabled);
 /// pre-instrumentation engine cost — per-page attribution timers are gated
 /// behind a non-null sink, so this row also re-verifies zero overhead with
 /// attribution code compiled in), 1 = default registry with latency
-/// attribution, 2 = registry + enabled tracer, 3 = registry with
-/// attribution off (isolates the per-page WallTimer cost).
+/// attribution, 2 = registry + enabled tracer.
 void BM_ExecuteAllSink(benchmark::State& state) {
   const int sink_mode = static_cast<int>(state.range(0));
   TychoLikeOptions gen;
@@ -75,7 +61,6 @@ void BM_ExecuteAllSink(benchmark::State& state) {
   options.backend = BackendKind::kLinearScan;
   options.multi.metrics =
       sink_mode == 0 ? nullptr : obs::MetricsSink::Default();
-  options.multi.enable_attribution = sink_mode != 3;
   auto db = MetricDatabase::Open(MakeTychoLikeDataset(gen),
                                  std::make_shared<EuclideanMetric>(), options);
   if (!db.ok()) {
@@ -102,12 +87,11 @@ void BM_ExecuteAllSink(benchmark::State& state) {
     obs::Tracer::Global()->Disable();
     obs::Tracer::Global()->Clear();
   }
-  static const char* const kLabels[] = {"sink=null", "sink=registry attr=on",
-                                        "sink=registry+trace",
-                                        "sink=registry attr=off"};
+  static const char* const kLabels[] = {"sink=null", "sink=registry",
+                                        "sink=registry+trace"};
   state.SetLabel(kLabels[sink_mode]);
 }
-BENCHMARK(BM_ExecuteAllSink)->Arg(0)->Arg(1)->Arg(2)->Arg(3)
+BENCHMARK(BM_ExecuteAllSink)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

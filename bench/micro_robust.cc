@@ -8,16 +8,16 @@
 // hot path show up in isolation.
 //
 // Section 2 (failover scenario): a 4-server replicated cluster loses one
-// server mid-workload. For each replication factor the run reports
-// completeness (surviving partitions), bit-identity against the
-// fault-free reference, failover/re-issue counts and the added latency of
-// routing around the loss — and *enforces* the failover contract: with
-// r >= 2 a single crash must leave the answers complete and bit-identical
-// (exit non-zero otherwise), with r = 1 exactly the crashed server's
-// partition must be reported missing, and after Restore() the cluster
-// must serve complete answers again. The contract_failover test drives this
-// section through scripts/check_failover.py and diffs the JSON records
-// against the committed bench/BENCH_failover.json baseline.
+// server (crash_server=) mid-workload. For each replication factor the run
+// reports completeness (surviving partitions), bit-identity against the
+// fault-free reference and failover/re-issue counts — and *enforces* the
+// failover contract: with r >= 2 a single crash must leave the answers
+// complete and bit-identical (exit non-zero otherwise), with r = 1 exactly
+// the crashed server's partition must be reported missing, and after
+// Restore() the cluster must serve complete answers again. The
+// contract_failover test runs this section once per crashed server and
+// pins every record's counts exactly against the committed
+// bench/BENCH_failover.json baseline.
 //
 // Flags are key=value (json=..., r_values=...); --benchmark_* arguments
 // pass through to google-benchmark. run_bench=0 skips section 1.

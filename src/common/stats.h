@@ -113,8 +113,8 @@ struct QueryStats {
 
   // --- Latency attribution (wall-clock microseconds) ------------------
   // Measured elapsed-time shares of one execution, charged at stage
-  // boundaries when MultiQueryOptions::enable_attribution is on (and a
-  // metrics sink is attached — a null sink always disables them). Unlike
+  // boundaries whenever MultiQueryOptions::metrics is non-null (a null
+  // sink keeps the engine free of per-page clock reads). Unlike
   // the counters above these are wall times: additive across sequential
   // work, but a sum over work that ran in parallel counts the overlap once
   // per part. So a threaded SharedNothingCluster also returns the batch's

@@ -121,8 +121,7 @@ Status MultiQueryEngine::ExecuteInternal(std::span<const Query> queries,
   const size_t m = queries.size();
   // Latency attribution charges wall time at stage boundaries; gated on a
   // live sink so the null-sink path stays timer-free per page.
-  const bool attribute =
-      options_.enable_attribution && options_.metrics != nullptr;
+  const bool attribute = options_.metrics != nullptr;
   WallTimer window_timer;
   obs::ScopedSpan window_span(tracer_, "engine.window", "engine");
   window_span.AddArg("m", static_cast<double>(m));

@@ -29,10 +29,8 @@
 #include "core/backend.h"        // IWYU pragma: export
 #include "core/database.h"       // IWYU pragma: export
 #include "core/distance_matrix.h"  // IWYU pragma: export
-#include "core/multi_cursor.h"   // IWYU pragma: export
 #include "core/multi_query.h"    // IWYU pragma: export
 #include "core/pivot_table.h"    // IWYU pragma: export
-#include "core/planner.h"        // IWYU pragma: export
 #include "core/query.h"          // IWYU pragma: export
 #include "core/single_query.h"   // IWYU pragma: export
 #include "dataset/dataset.h"     // IWYU pragma: export
@@ -59,7 +57,6 @@
 #include "obs/metrics.h"         // IWYU pragma: export
 #include "obs/sink.h"            // IWYU pragma: export
 #include "obs/trace.h"           // IWYU pragma: export
-#include "obs/window.h"          // IWYU pragma: export
 #include "robust/fault_injector.h"  // IWYU pragma: export
 #include "parallel/cluster.h"    // IWYU pragma: export
 #include "parallel/decluster.h"  // IWYU pragma: export

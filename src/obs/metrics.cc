@@ -7,8 +7,6 @@
 #include <limits>
 #include <sstream>
 
-#include "obs/window.h"
-
 namespace msq::obs {
 
 namespace {
@@ -42,9 +40,8 @@ std::string JoinLabels(const std::string& a, const std::string& b) {
 }
 
 /// Renders the `<name>_summary` gauge family: one line per (cell, quantile)
-/// with quantile="0.5"/"0.9"/"0.99"/"0.999". Shared by cumulative and
-/// sliding-window histogram families; `snaps` pairs each cell's label
-/// string with its snapshot.
+/// with quantile="0.5"/"0.9"/"0.99"/"0.999"; `snaps` pairs each cell's
+/// label string with its snapshot.
 void AppendSummaryFamily(
     const std::string& name,
     const std::vector<std::pair<std::string, Histogram::Snapshot>>& snaps,
@@ -223,24 +220,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return cell.get();
 }
 
-MetricsRegistry::MetricsRegistry() = default;
-MetricsRegistry::~MetricsRegistry() = default;
-
-SlidingWindowHistogram* MetricsRegistry::GetSlidingHistogram(
-    const std::string& name, std::vector<double> boundaries,
-    std::chrono::seconds window, const std::string& help,
-    const std::string& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Family<SlidingWindowHistogram>& family = sliding_[name];
-  if (family.help.empty()) family.help = help;
-  auto& cell = family.cells[labels];
-  if (cell == nullptr) {
-    cell = std::make_unique<SlidingWindowHistogram>(std::move(boundaries),
-                                                    window);
-  }
-  return cell.get();
-}
-
 std::string MetricsRegistry::RenderPrometheusText() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
@@ -266,14 +245,6 @@ std::string MetricsRegistry::RenderPrometheusText() const {
     }
     AppendHistogramFamily(name, family.help, snaps, &out);
   }
-  for (const auto& [name, family] : sliding_) {
-    std::vector<std::pair<std::string, Histogram::Snapshot>> snaps;
-    snaps.reserve(family.cells.size());
-    for (const auto& [labels, cell] : family.cells) {
-      snaps.emplace_back(labels, cell->Snap());
-    }
-    AppendHistogramFamily(name, family.help, snaps, &out);
-  }
   return out;
 }
 
@@ -286,9 +257,6 @@ void MetricsRegistry::ResetValues() {
     for (auto& [labels, cell] : family.cells) cell->Reset();
   }
   for (auto& [name, family] : histograms_) {
-    for (auto& [labels, cell] : family.cells) cell->Reset();
-  }
-  for (auto& [name, family] : sliding_) {
     for (auto& [labels, cell] : family.cells) cell->Reset();
   }
 }

@@ -16,7 +16,6 @@
 #define MSQ_OBS_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -114,14 +113,9 @@ std::vector<double> SizeBoundaries();
 /// braces, e.g. `reason="deadline"`. Resolution takes a mutex — resolve
 /// once and keep the pointer; observations on the returned instruments are
 /// lock-free.
-class SlidingWindowHistogram;  // obs/window.h
-
 class MetricsRegistry {
  public:
-  // Both out-of-line: SlidingWindowHistogram is incomplete here, and even
-  // the constructor needs the member destructors for unwinding.
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -135,14 +129,6 @@ class MetricsRegistry {
                           std::vector<double> boundaries,
                           const std::string& help = "",
                           const std::string& labels = "");
-  /// Sliding-window histogram (obs/window.h): same idempotent contract as
-  /// GetHistogram; `boundaries` and `window_seconds` only matter on first
-  /// creation. Rendered as a histogram family over the window's snapshot.
-  SlidingWindowHistogram* GetSlidingHistogram(const std::string& name,
-                                              std::vector<double> boundaries,
-                                              std::chrono::seconds window,
-                                              const std::string& help = "",
-                                              const std::string& labels = "");
 
   /// Prometheus text exposition format: one `# HELP` / `# TYPE` block per
   /// metric family, then one sample line per (labels) cell; histograms
@@ -175,7 +161,6 @@ class MetricsRegistry {
   std::map<std::string, Family<Counter>> counters_;
   std::map<std::string, Family<Gauge>> gauges_;
   std::map<std::string, Family<Histogram>> histograms_;
-  std::map<std::string, Family<SlidingWindowHistogram>> sliding_;
 };
 
 }  // namespace msq::obs

@@ -226,11 +226,13 @@ bool SharedNothingCluster::AdmitServer(size_t server) {
   return true;
 }
 
-void SharedNothingCluster::RecordServerResult(size_t server, bool ok) {
+void SharedNothingCluster::RecordServerResult(
+    size_t server, bool ok, std::chrono::steady_clock::time_point end) {
   if (breaker_.failure_threshold <= 0) return;
   ServerHealth& h = *health_[server];
   std::lock_guard<std::mutex> lock(h.mu);
   if (ok) {
+    h.last_success_end = std::max(h.last_success_end, end);
     h.consecutive_failures = 0;
     if (h.state != BreakerState::kClosed) {
       // A successful probe (or a success racing the trip) closes the
@@ -241,6 +243,10 @@ void SharedNothingCluster::RecordServerResult(size_t server, bool ok) {
     }
     return;
   }
+  // The server has answered since this attempt failed (a batch that met
+  // a crash before Restore() finished after another batch's success), so
+  // the failure says nothing about its health now.
+  if (end < h.last_success_end) return;
   ++h.consecutive_failures;
   if (h.state == BreakerState::kHalfOpen) {
     // The probe failed: back to open, restart the cooldown.
@@ -483,13 +489,13 @@ void SharedNothingCluster::RunPartitions(const std::vector<Query>& queries,
         if (reissues_total_ != nullptr) reissues_total_->Increment();
       }
       if (a.result.ok()) {
-        RecordServerResult(a.server, true);
+        RecordServerResult(a.server, true, a.end);
         done[a.partition] = 1;
         out->partition_status[a.partition] = Status::OK();
         out->partition_answers[a.partition] = std::move(a.result).value();
         out->server_status[a.server] = Status::OK();
       } else {
-        RecordServerResult(a.server, false);
+        RecordServerResult(a.server, false, a.end);
         out->server_status[a.server] = a.result.status();
         last_error[a.partition] = a.result.status();
         ++next_try[a.partition];

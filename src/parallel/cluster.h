@@ -273,6 +273,9 @@ class SharedNothingCluster {
     int consecutive_failures = 0;
     std::chrono::steady_clock::time_point opened_at{};
     bool probe_inflight = false;
+    /// End of the latest successful attempt recorded; a failure that
+    /// ended before it is stale and not counted.
+    std::chrono::steady_clock::time_point last_success_end{};
   };
 
   /// Everything one ExecuteMultipleAll* call produces before merging.
@@ -305,8 +308,11 @@ class SharedNothingCluster {
   /// open -> half-open when the cooldown elapsed and reserves the single
   /// half-open probe slot for the caller.
   bool AdmitServer(size_t server);
-  /// Records one attempt outcome into the server's breaker.
-  void RecordServerResult(size_t server, bool ok);
+  /// Records the outcome of one attempt that ended at `end` into the
+  /// server's breaker. Outcomes are recorded when the attempt's round
+  /// ends, so a failure may arrive after a later attempt's success.
+  void RecordServerResult(size_t server, bool ok,
+                          std::chrono::steady_clock::time_point end);
   /// Breaker admissibility without reserving the probe slot (QuorumStatus).
   bool ServerAdmissible(size_t server) const;
   void SetBreakerGauge(size_t server, BreakerState state);

@@ -26,21 +26,9 @@ BatchScheduler::BatchScheduler(MultiQueryEngine* engine, ThreadPool* pool,
   } else {
     options_.max_batch_size = std::max<size_t>(options_.max_batch_size, 1);
   }
-  // Lanes that carry an SLO are fixed by the options, so their completion
-  // rings can be set up once here; completions on other lanes are never
-  // sampled.
-  auto register_lane = [this](const TenantOptions& t) {
-    if (t.slo_p99.count() <= 0) return;
-    LaneSlo& lane = lane_slos_[t.lane];
-    if (lane.slo.count() <= 0 || t.slo_p99 < lane.slo) lane.slo = t.slo_p99;
-    lane.ring.resize(kSloWindow, 0.0);
-  };
-  register_lane(options_.default_tenant);
-  for (const auto& [name, tenant] : options_.tenants) register_lane(tenant);
   if (options_.metrics != nullptr) {
     tracer_ = options_.metrics->tracer();
     if (obs::MetricsRegistry* reg = options_.metrics->registry()) {
-      registry_ = reg;
       queue_depth_ = reg->GetGauge("msq_scheduler_queue_depth",
                                    "Distinct queries pending admission");
       inflight_gauge_ =
@@ -57,10 +45,6 @@ BatchScheduler::BatchScheduler(MultiQueryEngine* engine, ThreadPool* pool,
       shed_total_ = reg->GetCounter(
           "msq_scheduler_shed_total",
           "New queries shed by the max_pending overload bound");
-      slo_shed_total_ = reg->GetCounter(
-          "msq_scheduler_slo_shed_total",
-          "Lower-priority queries shed while a higher-priority lane ran "
-          "over its p99 SLO");
       static const char* const kReasonLabels[4] = {
           "reason=\"size\"", "reason=\"deadline\"", "reason=\"explicit\"",
           "reason=\"drain\""};
@@ -88,15 +72,6 @@ BatchScheduler::BatchScheduler(MultiQueryEngine* engine, ThreadPool* pool,
                     static_cast<obs::LatencyComponent>(c)) +
                 "\"");
       }
-      if (options_.latency_window_seconds > 0) {
-        latency_window_ = reg->GetSlidingHistogram(
-            "msq_scheduler_latency_window_micros",
-            obs::LatencyBoundariesMicros(),
-            std::chrono::seconds(std::max<int64_t>(
-                1,
-                static_cast<int64_t>(options_.latency_window_seconds + 0.5))),
-            "Per-query end-to-end latency over the sliding window");
-      }
     }
   }
   deadline_thread_ = std::thread([this] { DeadlineLoop(); });
@@ -105,33 +80,6 @@ BatchScheduler::BatchScheduler(MultiQueryEngine* engine, ThreadPool* pool,
 BatchScheduler::~BatchScheduler() { Shutdown(); }
 
 AnswerFuture BatchScheduler::Submit(Query query) {
-  return Submit(std::move(query), std::string());
-}
-
-const TenantOptions& BatchScheduler::TenantPolicy(
-    const std::string& tenant) const {
-  auto it = options_.tenants.find(tenant);
-  return it == options_.tenants.end() ? options_.default_tenant : it->second;
-}
-
-bool BatchScheduler::SloPressureLocked(int lane) const {
-  for (const auto& [slo_lane, state] : lane_slos_) {
-    if (slo_lane >= lane) break;  // std::map: lanes ascend, priority falls
-    if (state.slo.count() <= 0) continue;
-    if (state.count < std::max<size_t>(1, options_.slo_min_samples)) continue;
-    // p99 of the ring's valid prefix; <=128 doubles, so the copy +
-    // nth_element under mu_ is cheap even on the submit path.
-    std::vector<double> samples(state.ring.begin(),
-                                state.ring.begin() + state.count);
-    const size_t idx =
-        static_cast<size_t>(static_cast<double>(samples.size() - 1) * 0.99);
-    std::nth_element(samples.begin(), samples.begin() + idx, samples.end());
-    if (samples[idx] > static_cast<double>(state.slo.count())) return true;
-  }
-  return false;
-}
-
-AnswerFuture BatchScheduler::Submit(Query query, const std::string& tenant) {
   std::promise<StatusOr<AnswerSet>> promise;
   AnswerFuture future = promise.get_future();
   std::lock_guard<std::mutex> lock(mu_);
@@ -159,7 +107,7 @@ AnswerFuture BatchScheduler::Submit(Query query, const std::string& tenant) {
         "BatchScheduler has neither an engine nor an executor"));
     return future;
   }
-  auto it = pending_index_.find(TenantKey{tenant, query.id});
+  auto it = pending_index_.find(query.id);
   if (it != pending_index_.end()) {
     Pending& entry = pending_[it->second];
     if (SameDefinition(entry.query, query)) {
@@ -193,41 +141,6 @@ AnswerFuture BatchScheduler::Submit(Query query, const std::string& tenant) {
         std::to_string(options_.max_pending) + ")"));
     return future;
   }
-  const TenantOptions& policy = TenantPolicy(tenant);
-  if (policy.max_pending > 0) {
-    auto load = tenant_load_.find(tenant);
-    if (load != tenant_load_.end() && load->second >= policy.max_pending) {
-      // The tenant's own quota, not the scheduler's: other tenants keep
-      // being admitted while this one is shed back to its budget.
-      ++queries_shed_;
-      ++tenant_shed_counts_[tenant];
-      if (shed_total_ != nullptr) shed_total_->Increment();
-      if (registry_ != nullptr) {
-        registry_
-            ->GetCounter("msq_scheduler_tenant_shed_total",
-                         "New queries shed by a tenant's own quota",
-                         "tenant=\"" + tenant + "\"")
-            ->Increment();
-      }
-      promise.set_value(Status::ResourceExhausted(
-          "tenant \"" + tenant + "\" overloaded: " +
-          std::to_string(load->second) + " queries in flight (max_pending=" +
-          std::to_string(policy.max_pending) + ")"));
-      return future;
-    }
-  }
-  if (!lane_slos_.empty() && SloPressureLocked(policy.lane)) {
-    // Some higher-priority lane promised a p99 and is currently missing
-    // it: new lower-priority work is what we can still refuse.
-    ++queries_shed_;
-    ++queries_shed_slo_;
-    if (shed_total_ != nullptr) shed_total_->Increment();
-    if (slo_shed_total_ != nullptr) slo_shed_total_->Increment();
-    promise.set_value(Status::ResourceExhausted(
-        "shed: a higher-priority lane is over its p99 SLO (tenant \"" +
-        tenant + "\", lane " + std::to_string(policy.lane) + ")"));
-    return future;
-  }
   if (options_.admission_check) {
     // Backend-health gate (e.g. a cluster that lost quorum): shed new work
     // the backend could only answer partially, with the gate's own status.
@@ -246,14 +159,11 @@ AnswerFuture BatchScheduler::Submit(Query query, const std::string& tenant) {
     // (oldest) entry.
     deadline_cv_.notify_all();
   }
-  pending_index_.emplace(TenantKey{tenant, query.id}, pending_.size());
-  ++tenant_load_[tenant];
+  pending_index_.emplace(query.id, pending_.size());
   Pending entry;
   entry.query = std::move(query);
   entry.promises.push_back(std::move(promise));
   entry.submit_time = std::chrono::steady_clock::now();
-  entry.tenant = tenant;
-  entry.lane = policy.lane;
   pending_.push_back(std::move(entry));
   if (queue_depth_ != nullptr) queue_depth_->Add(1);
   if (pending_.size() >= options_.max_batch_size) {
@@ -286,36 +196,10 @@ void BatchScheduler::FlushLocked(FlushReason reason) {
   if (obs::Counter* c = flush_reason_counters_[static_cast<int>(reason)]) {
     c->Increment();
   }
-  // One batch per lane (highest priority — lowest lane number — first, so
-  // it reaches the pool queue first), each bounded by max_batch_size and
-  // never holding the same QueryId twice: the same id submitted by two
-  // tenants is two distinct queries, and the engine's duplicate-id
-  // validation must never see them side by side. The stable sort keeps
-  // submission order within a lane.
-  std::stable_sort(
-      pending_.begin(), pending_.end(),
-      [](const Pending& a, const Pending& b) { return a.lane < b.lane; });
-  size_t begin = 0;
-  while (begin < pending_.size()) {
-    std::vector<QueryId> batch_ids;
-    size_t end = begin;
-    while (end < pending_.size() && end - begin < options_.max_batch_size &&
-           pending_[end].lane == pending_[begin].lane &&
-           std::find(batch_ids.begin(), batch_ids.end(),
-                     pending_[end].query.id) == batch_ids.end()) {
-      batch_ids.push_back(pending_[end].query.id);
-      ++end;
-    }
-    auto batch = std::make_shared<std::vector<Pending>>();
-    batch->reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      batch->push_back(std::move(pending_[i]));
-    }
-    begin = end;
-    DispatchLocked(std::move(batch), flush_time);
-  }
+  auto batch = std::make_shared<std::vector<Pending>>(std::move(pending_));
   pending_.clear();
   pending_index_.clear();
+  DispatchLocked(std::move(batch), flush_time);
 }
 
 void BatchScheduler::DispatchLocked(
@@ -393,7 +277,6 @@ void BatchScheduler::DispatchLocked(
         const double e2e_micros =
             MicrosBetween((*batch)[i].submit_time, done_time);
         if (latency_micros_ != nullptr) latency_micros_->Observe(e2e_micros);
-        if (latency_window_ != nullptr) latency_window_->Observe(e2e_micros);
         for (std::promise<StatusOr<AnswerSet>>& p : (*batch)[i].promises) {
           if (!result.ok()) {
             // A batch-level failure (validation: the engine refused the
@@ -415,22 +298,6 @@ void BatchScheduler::DispatchLocked(
     std::lock_guard<std::mutex> lock(mu_);
     --inflight_batches_;
     inflight_queries_ -= batch->size();
-    for (const Pending& entry : *batch) {
-      // Release the tenant's quota slot and, if the entry's lane carries
-      // an SLO, record its end-to-end latency in the lane's ring — the
-      // window SloPressureLocked judges future admissions by.
-      auto load = tenant_load_.find(entry.tenant);
-      if (load != tenant_load_.end() && --load->second == 0) {
-        tenant_load_.erase(load);
-      }
-      auto lane = lane_slos_.find(entry.lane);
-      if (lane != lane_slos_.end()) {
-        LaneSlo& state = lane->second;
-        state.ring[state.next] = MicrosBetween(entry.submit_time, done_time);
-        state.next = (state.next + 1) % state.ring.size();
-        if (state.count < state.ring.size()) ++state.count;
-      }
-    }
     ++batches_executed_;
     done_cv_.notify_all();
   });
@@ -551,17 +418,6 @@ uint64_t BatchScheduler::queries_rejected() const {
 uint64_t BatchScheduler::queries_shed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queries_shed_;
-}
-
-uint64_t BatchScheduler::queries_shed_tenant(const std::string& tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tenant_shed_counts_.find(tenant);
-  return it == tenant_shed_counts_.end() ? 0 : it->second;
-}
-
-uint64_t BatchScheduler::queries_shed_slo() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queries_shed_slo_;
 }
 
 uint64_t BatchScheduler::batches_executed() const {

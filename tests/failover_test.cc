@@ -1,8 +1,9 @@
 // Tests of replicated declustering and automatic failover: chained replica
 // placement, bit-identical answers under single-server loss, the per-server
-// circuit breaker (trip, skip, half-open probe, close), quorum reporting,
-// the per-server attempt counts of ExecuteMultipleAllPartial, and the
-// concurrent-batches-vs-flapping-server stress the TSan CI job runs.
+// circuit breaker (trip, skip, half-open probe, close, late failures),
+// quorum reporting, the per-server attempt counts of
+// ExecuteMultipleAllPartial, and the concurrent-batches-vs-flapping-server
+// stress the TSan CI job runs.
 
 #include <algorithm>
 #include <atomic>
@@ -327,6 +328,61 @@ TEST(FailoverBreakerTest, HalfOpenProbeReopensThenClosesAfterRestore) {
   ASSERT_TRUE(fourth.ok());
   EXPECT_EQ(fourth->server_attempts[0], 1);
   EXPECT_EQ(fourth->replica_reissues, 0u);
+}
+
+// Breaker outcomes are recorded when an attempt's round ends. Batch B1
+// fails on crashed server 0 at once, but its round stays open while its
+// half-open probe reads slow server 1. Meanwhile server 0 is restored and
+// batch B2 succeeds there. B1's failure, recorded last, predates that
+// success and must not re-open server 0's breaker (threshold 1).
+TEST(FailoverBreakerTest, LateFailureDoesNotReopenARecoveredServer) {
+  const Dataset dataset = MakeUniformDataset(800, 4, 2111);
+  robust::FaultPlan quiet;
+  quiet.metrics = nullptr;
+  robust::FaultPlan slow = quiet;
+  slow.latency_spike_rate = 1.0;
+  slow.latency_spike = std::chrono::milliseconds(10);
+  std::vector<std::shared_ptr<robust::FaultInjector>> injectors;
+  for (size_t i = 0; i < 4; ++i) {
+    injectors.push_back(
+        std::make_shared<robust::FaultInjector>(i == 1 ? slow : quiet));
+  }
+  ClusterOptions options;
+  options.num_servers = 4;
+  options.replication_factor = 2;
+  options.server_options.backend = BackendKind::kLinearScan;
+  options.server_options.page_size_bytes = 2048;
+  options.breaker.failure_threshold = 1;
+  options.breaker.open_cooldown = std::chrono::microseconds(0);
+  options.metrics = nullptr;
+  options.server_faults = injectors;
+  auto created = SharedNothingCluster::Create(
+      dataset, std::make_shared<EuclideanMetric>(), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  SharedNothingCluster& cluster = **created;
+
+  injectors[1]->Crash();
+  ASSERT_TRUE(
+      cluster.ExecuteMultipleAllPartial(FailoverQueries(dataset, 700)).ok());
+  ASSERT_EQ(cluster.breaker_state(1), BreakerState::kOpen);
+  injectors[1]->Restore();
+
+  injectors[0]->Crash();
+  StatusOr<ClusterBatchResult> b1 = Status::Internal("B1 did not run");
+  std::thread b1_thread([&] {
+    b1 = cluster.ExecuteMultipleAllPartial(FailoverQueries(dataset, 710));
+  });
+  while (injectors[0]->faults_injected() == 0) std::this_thread::yield();
+  injectors[0]->Restore();
+  // B1 holds server 1's probe slot, so B2 sends partition 1 to its replica.
+  auto b2 = cluster.ExecuteMultipleAllPartial(FailoverQueries(dataset, 720));
+  b1_thread.join();
+
+  ASSERT_TRUE(b2.ok()) << b2.status().ToString();
+  EXPECT_TRUE(b2->missing_servers.empty());
+  ASSERT_TRUE(b1.ok()) << b1.status().ToString();
+  EXPECT_TRUE(b1->missing_servers.empty());
+  EXPECT_EQ(cluster.breaker_state(0), BreakerState::kClosed);
 }
 
 // ---------------------------------------------------------------------

@@ -3,15 +3,12 @@
 // insert/delete visibility against every backend, quiesced equality (a
 // mutated-then-compacted database answers bit-identically to a fresh build
 // of the same final object set, pivots on and off), persistence of the
-// mutated state through the page store, a mixed reader/writer stress run
-// (the TSan CI target), and the multi-tenant scheduler lanes: tenant-scoped
-// coalescing, per-tenant quotas, lane-ordered flushing, and SLO shedding.
+// mutated state through the page store, and a mixed reader/writer stress
+// run (the TSan CI target).
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -26,8 +23,6 @@
 #include "core/pivot_table.h"
 #include "dataset/generators.h"
 #include "dist/builtin_metrics.h"
-#include "parallel/thread_pool.h"
-#include "service/batch_scheduler.h"
 #include "tests/test_util.h"
 
 namespace msq {
@@ -434,237 +429,6 @@ TEST(MutateStressTest, ConcurrentWritersAndQueriesAllBackends) {
                               0.0));
     }
   }
-}
-
-// --- multi-tenant scheduler lanes ----------------------------------------
-
-std::unique_ptr<MetricDatabase> OpenScanDb(const Dataset& data) {
-  DatabaseOptions options;
-  options.backend = BackendKind::kLinearScan;
-  options.multi.max_batch_size = 128;
-  auto db = MetricDatabase::Open(data, std::make_shared<EuclideanMetric>(),
-                                 options);
-  EXPECT_TRUE(db.ok());
-  return db.ok() ? std::move(db).value() : nullptr;
-}
-
-// The cross-tenant coalescing fix: the same query id from two tenants is
-// two queries (independent futures, no coalescing), and the flush keeps
-// duplicate ids out of any single engine batch. QueryIds still name query
-// *definitions* engine-wide (the AnswerBuffer invariant), so a tenant that
-// reuses another tenant's id with a conflicting definition gets that
-// tenant's batch rejected — without disturbing anyone else's answers.
-TEST(BatchSchedulerTenantTest, SameIdAcrossTenantsIsNeitherCoalescedNorClash) {
-  Dataset dataset = MakeUniformDataset(200, 4, 51);
-  auto db = OpenScanDb(dataset);
-  ASSERT_NE(db, nullptr);
-  EuclideanMetric metric;
-  ThreadPool pool(2);
-  BatchSchedulerOptions options;
-  options.max_batch_size = 16;
-  options.flush_deadline = std::chrono::seconds(1);
-  BatchScheduler scheduler(&db->engine(), &pool, options);
-
-  const Query q1{5, dataset.object(1), QueryType::Knn(3)};
-  const Query q2{5, dataset.object(2), QueryType::Knn(3)};  // same id!
-  auto fa = scheduler.Submit(q1, "a");
-  auto fb = scheduler.Submit(q1, "b");  // identical definition, other tenant
-  auto fc = scheduler.Submit(q2, "c");  // same id, different definition
-  EXPECT_EQ(scheduler.queries_coalesced(), 0u);
-  EXPECT_EQ(scheduler.queries_rejected(), 0u);
-  EXPECT_EQ(scheduler.pending_size(), 3u);
-
-  // Same-tenant coalescing still works.
-  auto fa2 = scheduler.Submit(q1, "a");
-  EXPECT_EQ(scheduler.queries_coalesced(), 1u);
-
-  scheduler.Flush();
-  scheduler.Drain();
-  // Three entries share one id and one lane, so the flush must have split
-  // them into three engine batches.
-  EXPECT_EQ(scheduler.batches_executed(), 3u);
-  auto ra = fa.get();
-  auto rb = fb.get();
-  auto rc = fc.get();
-  auto ra2 = fa2.get();
-  ASSERT_TRUE(ra.ok() && rb.ok() && ra2.ok());
-  EXPECT_TRUE(SameAnswers(*ra, BruteForceQuery(dataset, metric, q1)));
-  EXPECT_TRUE(SameAnswers(*rb, BruteForceQuery(dataset, metric, q1)));
-  EXPECT_TRUE(SameAnswers(*ra2, *ra));
-  // Tenant c reused id 5 with a different query point: the engine rejects
-  // that definition conflict, and only tenant c sees the error.
-  ASSERT_FALSE(rc.ok());
-  EXPECT_TRUE(rc.status().IsInvalidArgument());
-}
-
-// A flooding tenant is shed at its own quota while another tenant keeps
-// being admitted — the structural core of the "a flooder cannot push a
-// victim past its SLO" acceptance criterion, with no wall-clock coupling.
-TEST(BatchSchedulerTenantTest, TenantQuotaShedsOnlyTheFloodingTenant) {
-  Dataset dataset = MakeUniformDataset(200, 4, 52);
-  auto db = OpenScanDb(dataset);
-  ASSERT_NE(db, nullptr);
-  ThreadPool pool(2);
-
-  std::promise<void> gate;
-  std::shared_future<void> opened(gate.get_future());
-  std::mutex db_mu;
-  BatchSchedulerOptions options;
-  options.max_batch_size = 16;
-  options.flush_deadline = std::chrono::microseconds(0);  // flush per submit
-  TenantOptions flood;
-  flood.lane = 1;
-  flood.max_pending = 3;
-  options.tenants["flood"] = flood;
-  options.executor = [&](const std::vector<Query>& queries,
-                         QueryStats*) -> StatusOr<BatchResult> {
-    opened.wait();  // hold every admitted query in flight
-    std::lock_guard<std::mutex> lock(db_mu);
-    return db->MultipleSimilarityQueryAllPartial(queries);
-  };
-  BatchScheduler scheduler(nullptr, &pool, options);
-
-  std::vector<AnswerFuture> flood_futures;
-  for (QueryId id = 0; id < 8; ++id) {
-    flood_futures.push_back(scheduler.Submit(
-        Query{id, dataset.object(static_cast<ObjectId>(id)),
-              QueryType::Knn(3)},
-        "flood"));
-  }
-  // 3 admitted (all in flight behind the gate), 5 shed at the quota.
-  EXPECT_EQ(scheduler.queries_shed_tenant("flood"), 5u);
-  EXPECT_EQ(scheduler.queries_shed(), 5u);
-
-  std::vector<AnswerFuture> victim_futures;
-  for (QueryId id = 100; id < 103; ++id) {
-    victim_futures.push_back(scheduler.Submit(
-        Query{id, dataset.object(static_cast<ObjectId>(id)),
-              QueryType::Knn(3)},
-        "victim"));
-  }
-  // The victim tenant is untouched by the flooder's quota.
-  EXPECT_EQ(scheduler.queries_shed_tenant("victim"), 0u);
-  EXPECT_EQ(scheduler.queries_shed(), 5u);
-
-  gate.set_value();
-  scheduler.Drain();
-  size_t flood_ok = 0, flood_shed = 0;
-  for (auto& f : flood_futures) {
-    auto got = f.get();
-    if (got.ok()) {
-      ++flood_ok;
-    } else {
-      EXPECT_TRUE(got.status().IsResourceExhausted());
-      ++flood_shed;
-    }
-  }
-  EXPECT_EQ(flood_ok, 3u);
-  EXPECT_EQ(flood_shed, 5u);
-  for (auto& f : victim_futures) EXPECT_TRUE(f.get().ok());
-}
-
-// Lanes flush as separate batches, highest priority first, and a victim
-// lane's batches never carry another lane's queries.
-TEST(BatchSchedulerTenantTest, LanesFlushAsSeparateBatchesInPriorityOrder) {
-  Dataset dataset = MakeUniformDataset(200, 4, 53);
-  auto db = OpenScanDb(dataset);
-  ASSERT_NE(db, nullptr);
-  ThreadPool pool(1);  // single pool thread: execution order == hand-off order
-
-  std::mutex record_mu;
-  std::vector<std::vector<QueryId>> executed;
-  std::mutex db_mu;
-  BatchSchedulerOptions options;
-  options.max_batch_size = 16;
-  options.flush_deadline = std::chrono::seconds(1);
-  TenantOptions background;
-  background.lane = 5;
-  options.tenants["bg"] = background;
-  options.executor = [&](const std::vector<Query>& queries,
-                         QueryStats*) -> StatusOr<BatchResult> {
-    {
-      std::lock_guard<std::mutex> lock(record_mu);
-      executed.emplace_back();
-      for (const Query& q : queries) executed.back().push_back(q.id);
-    }
-    std::lock_guard<std::mutex> lock(db_mu);
-    return db->MultipleSimilarityQueryAllPartial(queries);
-  };
-  BatchScheduler scheduler(nullptr, &pool, options);
-
-  auto f1 = scheduler.Submit(
-      Query{1, dataset.object(1), QueryType::Knn(3)}, "bg");
-  auto f2 = scheduler.Submit(
-      Query{2, dataset.object(2), QueryType::Knn(3)}, "fg");
-  auto f3 = scheduler.Submit(
-      Query{3, dataset.object(3), QueryType::Knn(3)}, "bg");
-  auto f4 = scheduler.Submit(
-      Query{4, dataset.object(4), QueryType::Knn(3)}, "fg");
-  scheduler.Flush();
-  scheduler.Drain();
-
-  ASSERT_TRUE(f1.get().ok() && f2.get().ok() && f3.get().ok() &&
-              f4.get().ok());
-  ASSERT_EQ(executed.size(), 2u);
-  // The foreground lane (default lane 0) outranks lane 5 and flushes
-  // first; within each lane, submission order is preserved.
-  EXPECT_EQ(executed[0], (std::vector<QueryId>{2, 4}));
-  EXPECT_EQ(executed[1], (std::vector<QueryId>{1, 3}));
-}
-
-// While a lane with an SLO observes p99 over target, new lower-priority
-// submissions are shed; the SLO-holding lane itself keeps being admitted.
-TEST(BatchSchedulerTenantTest, SloPressureShedsLowerPriorityLanesOnly) {
-  Dataset dataset = MakeUniformDataset(200, 4, 54);
-  auto db = OpenScanDb(dataset);
-  ASSERT_NE(db, nullptr);
-  ThreadPool pool(2);
-  std::mutex db_mu;
-  BatchSchedulerOptions options;
-  options.max_batch_size = 16;
-  options.flush_deadline = std::chrono::microseconds(0);
-  options.slo_min_samples = 4;
-  TenantOptions gold;
-  gold.lane = 0;
-  gold.slo_p99 = std::chrono::microseconds(1);  // unmeetably tight
-  options.tenants["gold"] = gold;
-  TenantOptions bulk;
-  bulk.lane = 1;
-  options.tenants["bulk"] = bulk;
-  options.executor = [&](const std::vector<Query>& queries,
-                         QueryStats*) -> StatusOr<BatchResult> {
-    std::lock_guard<std::mutex> lock(db_mu);
-    return db->MultipleSimilarityQueryAllPartial(queries);
-  };
-  BatchScheduler scheduler(nullptr, &pool, options);
-
-  // Fill the gold lane's completion ring: 4 completed queries, each with
-  // real end-to-end latency far above 1us.
-  std::vector<AnswerFuture> warm;
-  for (QueryId id = 0; id < 4; ++id) {
-    warm.push_back(scheduler.Submit(
-        Query{id, dataset.object(static_cast<ObjectId>(id)),
-              QueryType::Knn(3)},
-        "gold"));
-  }
-  scheduler.Drain();
-  for (auto& f : warm) ASSERT_TRUE(f.get().ok());
-
-  // Lower-priority work is now shed...
-  auto bulk_future = scheduler.Submit(
-      Query{50, dataset.object(50), QueryType::Knn(3)}, "bulk");
-  auto bulk_result = bulk_future.get();
-  ASSERT_FALSE(bulk_result.ok());
-  EXPECT_TRUE(bulk_result.status().IsResourceExhausted());
-  EXPECT_EQ(scheduler.queries_shed_slo(), 1u);
-
-  // ...but the SLO-holding lane itself is not (shedding gold to protect
-  // gold would be self-defeating).
-  auto gold_future = scheduler.Submit(
-      Query{51, dataset.object(51), QueryType::Knn(3)}, "gold");
-  scheduler.Drain();
-  EXPECT_TRUE(gold_future.get().ok());
-  EXPECT_EQ(scheduler.queries_shed_slo(), 1u);
 }
 
 }  // namespace

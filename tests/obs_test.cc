@@ -3,7 +3,6 @@
 // Chrome trace export, and the MetricsSink pipeline that publishes the
 // paper's QueryStats cost counters.
 
-#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -16,7 +15,6 @@
 #include "obs/metrics.h"
 #include "obs/sink.h"
 #include "obs/trace.h"
-#include "obs/window.h"
 
 namespace msq {
 namespace {
@@ -402,141 +400,6 @@ TEST(MetricsRegistryTest, SummaryQuantilesKeepCellLabels) {
       text.find(
           "comp_seconds_summary{component=\"page_io\",quantile=\"0.999\"}"),
       std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// SlidingWindowHistogram
-// ---------------------------------------------------------------------
-
-using obs::SlidingWindowHistogram;
-
-TEST(ObsWindowTest, EmptyWindowSnapsToZero) {
-  SlidingWindowHistogram w({10.0, 100.0}, std::chrono::seconds(8), 4);
-  const auto snap = w.SnapAtMicros(0);
-  EXPECT_EQ(snap.count, 0u);
-  EXPECT_DOUBLE_EQ(snap.Percentile(99), 0.0);
-}
-
-TEST(ObsWindowTest, ObservationsInsideWindowAreMerged) {
-  SlidingWindowHistogram w({10.0, 100.0}, std::chrono::seconds(8), 4);
-  ASSERT_EQ(w.slot_width_micros(), 2'000'000);
-  w.ObserveAtMicros(5.0, 0);          // epoch 0
-  w.ObserveAtMicros(50.0, 2'000'000);  // epoch 1
-  w.ObserveAtMicros(50.0, 3'000'000);  // epoch 1
-  const auto snap = w.SnapAtMicros(3'500'000);
-  EXPECT_EQ(snap.count, 3u);
-  EXPECT_DOUBLE_EQ(snap.sum, 105.0);
-}
-
-TEST(ObsWindowTest, OldSamplesAgeOutOfTheWindow) {
-  SlidingWindowHistogram w({10.0, 100.0}, std::chrono::seconds(8), 4);
-  w.ObserveAtMicros(5.0, 0);  // epoch 0
-  // 4 slots: at epoch 4 (t=8s) the merge covers epochs [1, 4] only.
-  EXPECT_EQ(w.SnapAtMicros(7'999'999).count, 1u);  // epoch 3: [0,3] covers it
-  EXPECT_EQ(w.SnapAtMicros(8'000'000).count, 0u);  // epoch 4: aged out
-}
-
-TEST(ObsWindowTest, SlotIsRecycledAfterFullRotation) {
-  SlidingWindowHistogram w({10.0}, std::chrono::seconds(4), 4);
-  ASSERT_EQ(w.slot_width_micros(), 1'000'000);
-  w.ObserveAtMicros(1.0, 0);  // epoch 0, slot 0
-  // Epoch 4 reuses slot 0; the old epoch-0 sample must be cleared, not
-  // merged into epoch 4's population.
-  w.ObserveAtMicros(2.0, 4'000'000);
-  const auto snap = w.SnapAtMicros(4'000'000);
-  EXPECT_EQ(snap.count, 1u);
-  EXPECT_DOUBLE_EQ(snap.sum, 2.0);
-}
-
-TEST(ObsWindowTest, ClockSkipAcrossManyEpochsDropsAncientSlots) {
-  SlidingWindowHistogram w({10.0}, std::chrono::seconds(4), 4);
-  w.ObserveAtMicros(1.0, 0);
-  // Jump 100 epochs ahead: every live slot is older than the whole ring.
-  const auto snap = w.SnapAtMicros(100'000'000);
-  EXPECT_EQ(snap.count, 0u);
-  // New observations after the skip land normally.
-  w.ObserveAtMicros(3.0, 100'000'000);
-  EXPECT_EQ(w.SnapAtMicros(100'000'000).count, 1u);
-}
-
-TEST(ObsWindowTest, StaleObservationPastTheRingIsDropped) {
-  SlidingWindowHistogram w({10.0}, std::chrono::seconds(4), 4);
-  w.ObserveAtMicros(1.0, 50'000'000);  // epoch 50
-  w.ObserveAtMicros(2.0, 1'000'000);   // epoch 1: older than the ring, drop
-  const auto snap = w.SnapAtMicros(50'000'000);
-  EXPECT_EQ(snap.count, 1u);
-  EXPECT_DOUBLE_EQ(snap.sum, 1.0);
-}
-
-TEST(ObsWindowTest, ResetForgetsEverything) {
-  SlidingWindowHistogram w({10.0}, std::chrono::seconds(4), 4);
-  w.ObserveAtMicros(1.0, 0);
-  w.Reset();
-  EXPECT_EQ(w.SnapAtMicros(0).count, 0u);
-}
-
-TEST(ObsWindowTest, RegistryRendersSlidingHistogramWithSummary) {
-  MetricsRegistry reg;
-  SlidingWindowHistogram* w = reg.GetSlidingHistogram(
-      "win_micros", {10.0, 100.0}, std::chrono::seconds(10), "windowed");
-  w->Observe(5.0);
-  const std::string text = reg.RenderPrometheusText();
-  EXPECT_NE(text.find("# TYPE win_micros histogram"), std::string::npos);
-  EXPECT_NE(text.find("win_micros_count 1"), std::string::npos);
-  EXPECT_NE(text.find("win_micros_summary{quantile=\"0.999\"}"),
-            std::string::npos);
-  // Idempotent resolution, same cell.
-  EXPECT_EQ(reg.GetSlidingHistogram("win_micros", {}, std::chrono::seconds(1)),
-            w);
-}
-
-// Concurrent writers race slot rotation: no sample may be double-counted
-// and the total within the live window must be exact when every write
-// lands in the covered epochs.
-TEST(ObsWindowConcurrencyTest, ConcurrentObservesAreLossless) {
-  SlidingWindowHistogram w(obs::LatencyBoundariesMicros(),
-                           std::chrono::seconds(60), 4);
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 20000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&w, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        // All writes stay in epoch 0 of a 15 s slot: no rotation races,
-        // the count must be exact.
-        w.ObserveAtMicros(static_cast<double>((t * kPerThread + i) % 1000),
-                          1000);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(w.SnapAtMicros(2000).count,
-            static_cast<uint64_t>(kThreads) * kPerThread);
-}
-
-TEST(ObsWindowConcurrencyTest, ConcurrentRotationNeverDoubleCounts) {
-  SlidingWindowHistogram w({1000.0}, std::chrono::seconds(4), 4);
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 5000;
-  std::atomic<int64_t> clock{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerThread; ++i) {
-        // Advance the fake clock so rotations keep happening while other
-        // threads are mid-observe; the documented benign race may *drop*
-        // a sample at a slot boundary but must never double-count one.
-        const int64_t now = clock.fetch_add(137, std::memory_order_relaxed);
-        w.ObserveAtMicros(1.0, now);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const auto snap = w.SnapAtMicros(clock.load(std::memory_order_relaxed));
-  EXPECT_LE(snap.count, static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_DOUBLE_EQ(snap.sum, static_cast<double>(snap.count));
 }
 
 // ---------------------------------------------------------------------

@@ -80,6 +80,76 @@ TEST(DeclusterTest, RoundRobinIsDeterministicInterleave) {
   EXPECT_EQ((*got)[2], (std::vector<ObjectId>{2, 5, 8}));
 }
 
+TEST(SpatialDeclusterTest, PartitionsAreCompleteDisjointAndBalanced) {
+  Dataset dataset = MakeUniformDataset(1000, 4, 929);
+  auto got = DeclusterDataset(dataset, 7, DeclusterStrategy::kSpatial, 1);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), 7u);
+  std::set<ObjectId> seen;
+  for (const auto& part : *got) {
+    EXPECT_GE(part.size(), 1000u / 7 / 2);
+    EXPECT_LE(part.size(), 1000u / 7 * 2);
+    for (ObjectId id : part) EXPECT_TRUE(seen.insert(id).second);
+  }
+  EXPECT_EQ(seen.size(), 1000u);
+}
+
+TEST(SpatialDeclusterTest, PartitionsAreSpatiallyCompact) {
+  // Average pairwise distance within a spatial partition must be well
+  // below that of a round-robin partition.
+  Dataset dataset = MakeUniformDataset(2000, 3, 931);
+  EuclideanMetric metric;
+  auto spatial = DeclusterDataset(dataset, 8, DeclusterStrategy::kSpatial, 1);
+  auto rr = DeclusterDataset(dataset, 8, DeclusterStrategy::kRoundRobin, 1);
+  ASSERT_TRUE(spatial.ok());
+  ASSERT_TRUE(rr.ok());
+  auto avg_intra = [&](const std::vector<std::vector<ObjectId>>& parts) {
+    double sum = 0.0;
+    size_t count = 0;
+    for (const auto& part : parts) {
+      for (size_t i = 0; i < part.size(); i += 13) {
+        for (size_t j = i + 1; j < part.size(); j += 13) {
+          sum += metric.Distance(dataset.object(part[i]),
+                                 dataset.object(part[j]));
+          ++count;
+        }
+      }
+    }
+    return sum / static_cast<double>(count);
+  };
+  EXPECT_LT(avg_intra(*spatial), 0.7 * avg_intra(*rr));
+}
+
+TEST(SpatialDeclusterTest, PlainDeclusterRejectsSpatial) {
+  EXPECT_TRUE(Decluster(100, 4, DeclusterStrategy::kSpatial, 1)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(SpatialDeclusterTest, ClusterAnswersStayCorrect) {
+  Dataset dataset = MakeGaussianClustersDataset(900, 4, 5, 0.05, 933);
+  EuclideanMetric metric;
+  ClusterOptions options;
+  options.num_servers = 5;
+  options.strategy = DeclusterStrategy::kSpatial;
+  options.server_options.page_size_bytes = 2048;
+  options.server_options.multi.max_batch_size = 64;
+  auto cluster = SharedNothingCluster::Create(
+      dataset, std::make_shared<EuclideanMetric>(), options);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  std::vector<Query> queries;
+  for (ObjectId id : {1u, 200u, 500u, 880u}) {
+    queries.push_back(Query{static_cast<QueryId>(id), dataset.object(id),
+                            QueryType::Knn(6)});
+  }
+  auto got = (*cluster)->ExecuteMultipleAll(queries);
+  ASSERT_TRUE(got.ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_TRUE(SameAnswers((*got)[i],
+                            BruteForceQuery(dataset, metric, queries[i])));
+  }
+}
+
 // ---------------------------------------------------------------------
 // SharedNothingCluster
 // ---------------------------------------------------------------------
