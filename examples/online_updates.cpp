@@ -6,7 +6,7 @@
 // every step, Compact the overlay into a fresh base build, and check the
 // compacted database answers exactly like a database built directly from
 // the final object set. A writer thread mutating concurrently with the
-// query loop shows the epoch machinery keeping both sides safe.
+// query loop shows the versioned snapshots keeping both sides safe.
 //
 //   ./online_updates [n=5000] [dim=8] [k=5] [backend=xtree]
 
@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(db->MutationGeneration()));
 
   // 4. A writer thread inserts and deletes while this thread keeps
-  // querying: each query pins an epoch and runs against one immutable
-  // snapshot, so the two sides never block or tear each other.
+  // querying: each query holds one immutable snapshot for its whole call,
+  // so the two sides never block or tear each other.
   std::atomic<bool> stop{false};
   std::thread writer([&db, &stop, dim] {
     msq::Rng rng(7);
@@ -114,11 +114,9 @@ int main(int argc, char** argv) {
   stop.store(true, std::memory_order_relaxed);
   writer.join();
   std::printf("ran %zu queries concurrent with a writer thread "
-              "(generation now %llu, epoch reclaim lag %llu)\n",
+              "(generation now %llu)\n",
               queries,
-              static_cast<unsigned long long>(db->MutationGeneration()),
-              static_cast<unsigned long long>(
-                  db->epochs().ReclaimLagEpochs()));
+              static_cast<unsigned long long>(db->MutationGeneration()));
 
   // 5. Compact: delta + tombstones fold into a fresh base build; ids
   // renumber densely.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -19,10 +20,8 @@ namespace msq {
 namespace {
 
 // Database metadata blob ("meta" object of the page store). Version 2
-// appends the checkpoint nonce (DESIGN §14); version-1 files (pre-WAL)
-// stay readable.
+// appends the checkpoint nonce (DESIGN §14).
 constexpr uint32_t kDbMetaTag = 0x4d535142;  // "MSQB"
-constexpr uint32_t kDbMetaVersionV1 = 1;
 constexpr uint32_t kDbMetaVersion = 2;
 
 /// Fresh checkpoint nonce: random, never zero (0 means "no nonce").
@@ -38,74 +37,105 @@ uint64_t GenerateCheckpointNonce() {
   return mixed == 0 ? 1 : mixed;
 }
 
-/// Deterministic stand-in nonce for version-1 files, derived from the
-/// stored meta extent's CRC and the file's block count: stable across
-/// opens of the same file, different after any rewrite — exactly the
-/// properties WAL staleness detection needs.
-uint64_t LegacyNonceFor(const PageFile& store) {
-  auto it = store.objects().find("meta");
-  const uint64_t crc = it == store.objects().end() ? 0 : it->second.crc;
-  const uint64_t mixed = (crc << 24) ^ store.num_blocks();
-  return mixed == 0 ? 1 : mixed;
-}
-
 const std::string kWalSuffix = ".wal";
 const std::string kTmpSuffix = ".tmp";
 
-/// Builds the base backend for `dataset` — the switch Open and Compact
-/// share — and applies the fault-injection wrap, so a compacted base has
-/// exactly the wiring of a freshly opened one.
-StatusOr<std::unique_ptr<QueryBackend>> BuildBaseBackend(
+template <typename Backend>
+StatusOr<std::unique_ptr<QueryBackend>> AsBase(
+    StatusOr<std::unique_ptr<Backend>> made) {
+  if (!made.ok()) return made.status();
+  return std::unique_ptr<QueryBackend>(std::move(made).value());
+}
+
+/// The one factory of base backends: loads the index from `store`'s
+/// "index" object and reads pages through the file when given a store,
+/// builds over `dataset` otherwise, and applies the fault-injection wrap,
+/// so a built, reopened or compacted base has exactly the same wiring.
+StatusOr<std::unique_ptr<QueryBackend>> MakeBaseBackend(
     const std::shared_ptr<const Dataset>& dataset,
     const std::shared_ptr<const Metric>& metric,
-    const DatabaseOptions& options) {
-  std::unique_ptr<QueryBackend> backend;
+    const DatabaseOptions& options, std::shared_ptr<PageFile> store) {
+  std::optional<std::istringstream> index;
+  if (store != nullptr) {
+    std::string bytes;
+    MSQ_RETURN_IF_ERROR(store->GetObject("index", &bytes));
+    index.emplace(std::move(bytes));
+  }
+  // The database-level page size and buffer fraction override the same
+  // fields of the backend's own options.
+  auto sized = [&options](auto backend_options) {
+    backend_options.page_size_bytes = options.page_size_bytes;
+    backend_options.buffer_fraction = options.buffer_fraction;
+    return backend_options;
+  };
+  StatusOr<std::unique_ptr<QueryBackend>> made =
+      Status::InvalidArgument("unknown backend kind");
   switch (options.backend) {
-    case BackendKind::kLinearScan: {
-      LinearScanOptions scan_options;
-      scan_options.page_size_bytes = options.page_size_bytes;
-      scan_options.buffer_fraction = options.buffer_fraction;
-      auto built = LinearScanBackend::Build(dataset, scan_options);
-      if (!built.ok()) return built.status();
-      backend = std::move(built).value();
+    case BackendKind::kLinearScan:
+      made = AsBase(index ? LinearScanBackend::LoadIndex(*index, dataset)
+                          : LinearScanBackend::Build(
+                                dataset, sized(LinearScanOptions())));
       break;
-    }
     case BackendKind::kXTree: {
-      XTreeOptions xtree_options = options.xtree;
-      xtree_options.page_size_bytes = options.page_size_bytes;
-      xtree_options.buffer_fraction = options.buffer_fraction;
-      auto built = options.xtree_dynamic_build
-                       ? XTreeBackend::BuildByInsertion(dataset, metric,
-                                                        xtree_options)
-                       : XTreeBackend::BulkLoad(dataset, metric, xtree_options);
-      if (!built.ok()) return built.status();
-      backend = std::move(built).value();
+      const XTreeOptions xtree = sized(options.xtree);
+      made = AsBase(
+          index ? XTreeBackend::LoadFrom(*index, dataset, metric, xtree)
+          : options.xtree_dynamic_build
+              ? XTreeBackend::BuildByInsertion(dataset, metric, xtree)
+              : XTreeBackend::BulkLoad(dataset, metric, xtree));
       break;
     }
     case BackendKind::kMTree: {
-      MTreeOptions mtree_options = options.mtree;
-      mtree_options.page_size_bytes = options.page_size_bytes;
-      mtree_options.buffer_fraction = options.buffer_fraction;
-      auto built = MTreeBackend::Build(dataset, metric, mtree_options);
-      if (!built.ok()) return built.status();
-      backend = std::move(built).value();
+      const MTreeOptions mtree = sized(options.mtree);
+      made = AsBase(index
+                        ? MTreeBackend::LoadFrom(*index, dataset, metric, mtree)
+                        : MTreeBackend::Build(dataset, metric, mtree));
       break;
     }
-    case BackendKind::kVaFile: {
-      VaFileOptions va_options = options.va_file;
-      va_options.page_size_bytes = options.page_size_bytes;
-      va_options.buffer_fraction = options.buffer_fraction;
-      auto built = VaFileBackend::Build(dataset, metric, va_options);
-      if (!built.ok()) return built.status();
-      backend = std::move(built).value();
+    case BackendKind::kVaFile:
+      made = AsBase(index ? VaFileBackend::LoadIndex(*index, dataset, metric)
+                          : VaFileBackend::Build(dataset, metric,
+                                                 sized(options.va_file)));
       break;
+  }
+  if (!made.ok()) return made.status();
+  std::unique_ptr<QueryBackend> backend = std::move(made).value();
+  if (store != nullptr) {
+    // Route page reads through the file (the loaded index rebuilt the page
+    // map the store's directory was written against).
+    DataLayout* layout = backend->MutableLayout();
+    if (layout == nullptr) {
+      return Status::Internal("reopened backend has no data layout");
     }
+    MSQ_RETURN_IF_ERROR(layout->AttachStore(std::move(store)));
   }
   if (options.fault_injector != nullptr) {
     backend = std::make_unique<robust::FaultInjectingBackend>(
         std::move(backend), options.fault_injector);
   }
   return backend;
+}
+
+/// The injector's write-side hooks, for every file the database writes
+/// (checkpoint stores and the WAL); empty without an injector.
+IoFaultHooks WriteFaultHooks(const DatabaseOptions& options) {
+  IoFaultHooks hooks;
+  if (std::shared_ptr<robust::FaultInjector> inj = options.fault_injector) {
+    hooks.write = [inj](uint64_t offset, size_t length, size_t* allowed) {
+      return inj->OnWrite(offset, length, allowed);
+    };
+    hooks.fsync = [inj] { return inj->OnFsync(); };
+  }
+  return hooks;
+}
+
+Wal::Options WalOptionsFor(const DatabaseOptions& options) {
+  Wal::Options wal;
+  wal.fsync_policy = options.durability.wal_fsync_policy;
+  wal.fsync_every_n = options.durability.wal_fsync_every_n;
+  wal.metrics = options.multi.metrics;
+  wal.fault_hooks = WriteFaultHooks(options);
+  return wal;
 }
 
 }  // namespace
@@ -147,7 +177,7 @@ StatusOr<std::unique_ptr<MetricDatabase>> MetricDatabase::Open(
   auto db = std::unique_ptr<MetricDatabase>(
       new MetricDatabase(shared, metric, options));
 
-  auto built = BuildBaseBackend(shared, metric, options);
+  auto built = MakeBaseBackend(shared, metric, options, /*store=*/nullptr);
   if (!built.ok()) return built.status();
   db->WireEngine(std::move(built).value());
   if (options.pivots.enabled) {
@@ -195,9 +225,6 @@ void MetricDatabase::WireEngine(std::unique_ptr<QueryBackend> base) {
         reg->GetGauge("msq_tombstones_live", "Tombstones awaiting compaction");
     mutation_metrics_.delta_objects =
         reg->GetGauge("msq_delta_objects", "Delta-segment objects");
-    mutation_metrics_.epoch_reclaim_lag = reg->GetGauge(
-        "msq_epoch_reclaim_lag",
-        "Epochs between the oldest unreclaimed version and the current epoch");
   }
 }
 
@@ -207,13 +234,10 @@ void MetricDatabase::PublishMutationGauges(const LiveVersion& v) {
         static_cast<int64_t>(v.tomb_count));
     mutation_metrics_.delta_objects->Set(
         static_cast<int64_t>(v.delta.size()));
-    mutation_metrics_.epoch_reclaim_lag->Set(
-        static_cast<int64_t>(overlay_->epochs().ReclaimLagEpochs()));
   }
 }
 
 void MetricDatabase::BeginRead(ReadSession* session) {
-  session->guard = overlay_->epochs().Pin();
   session->version = overlay_->Current();
   session->overlay = overlay_;
   overlay_->InstallActive(session->version);
@@ -349,7 +373,7 @@ Status MetricDatabase::CompactLocked() {
   if (want_labels) compacted.set_labels(std::move(labels));
   auto shared = std::make_shared<Dataset>(std::move(compacted));
 
-  auto built = BuildBaseBackend(shared, metric_, options_);
+  auto built = MakeBaseBackend(shared, metric_, options_, /*store=*/nullptr);
   if (!built.ok()) return built.status();
   std::shared_ptr<QueryBackend> base(std::move(built).value());
 
@@ -378,8 +402,6 @@ Status MetricDatabase::CompactLocked() {
   overlay_->Publish(std::move(next));
   if (mutation_metrics_.compactions != nullptr) {
     mutation_metrics_.compactions->Increment();
-    mutation_metrics_.epoch_reclaim_lag->Set(
-        static_cast<int64_t>(overlay_->epochs().ReclaimLagEpochs()));
   }
   return Status::OK();
 }
@@ -426,17 +448,10 @@ Status MetricDatabase::WriteStoreLocked(const std::string& tmp_path,
         "database is already backed by a page store; re-saving a reopened "
         "database is not supported");
   }
-  auto created = PageFile::Create(tmp_path);
+  auto created = PageFile::Create(tmp_path, PageFile::kDefaultBlockSize,
+                                  WriteFaultHooks(options_));
   if (!created.ok()) return created.status();
   std::unique_ptr<PageFile> store = std::move(created).value();
-  if (options_.fault_injector != nullptr) {
-    std::shared_ptr<robust::FaultInjector> inj = options_.fault_injector;
-    store->SetWriteFaultHook(
-        [inj](uint64_t offset, size_t length, size_t* allowed) {
-          return inj->OnWrite(offset, length, allowed);
-        });
-    store->SetFsyncFaultHook([inj] { return inj->OnFsync(); });
-  }
   // Data pages first: a sequential scan of the reopened database walks the
   // file front to back.
   MSQ_RETURN_IF_ERROR(layout->SaveToStore(store.get()));
@@ -511,23 +526,11 @@ Status MetricDatabase::BindDurabilityLocked(const std::string& path) {
     RemoveFileIfExists(path + kWalSuffix);
     return Status::OK();
   }
-  Wal::Options wal_options;
-  wal_options.fsync_policy = options_.durability.wal_fsync_policy;
-  wal_options.fsync_every_n = options_.durability.wal_fsync_every_n;
-  wal_options.metrics = options_.multi.metrics;
-  if (options_.fault_injector != nullptr) {
-    std::shared_ptr<robust::FaultInjector> inj = options_.fault_injector;
-    wal_options.write_fault_hook =
-        [inj](uint64_t offset, size_t length, size_t* allowed) {
-          return inj->OnWrite(offset, length, allowed);
-        };
-    wal_options.fsync_fault_hook = [inj] { return inj->OnFsync(); };
-  }
   // The nonce is fresh, so whatever sits at `<path>.wal` is stale by
   // definition and OpenForAppend resets it to an empty log.
   WalReplayResult replay;
   auto wal = Wal::OpenForAppend(path + kWalSuffix, checkpoint_nonce_,
-                                wal_options, &replay);
+                                WalOptionsFor(options_), &replay);
   if (!wal.ok()) return wal.status();
   wal_ = std::move(wal).value();
   return Status::OK();
@@ -601,22 +604,8 @@ Status MetricDatabase::LogMutationLocked(const WalRecord& record) {
 
 bool MetricDatabase::MaybeAutoCheckpointLocked() {
   if (wal_ == nullptr || bound_path_.empty()) return false;
-  const DatabaseOptions::DurabilityOptions& d = options_.durability;
-  bool trigger = false;
-  if (d.auto_checkpoint_wal_bytes > 0 &&
-      wal_->size_bytes() >= d.auto_checkpoint_wal_bytes) {
-    trigger = true;
-  }
-  if (!trigger && d.auto_checkpoint_tombstone_ratio > 0.0) {
-    std::shared_ptr<const LiveVersion> cur = overlay_->Current();
-    if (cur->total_objects() > 0 &&
-        static_cast<double>(cur->tomb_count) /
-                static_cast<double>(cur->total_objects()) >=
-            d.auto_checkpoint_tombstone_ratio) {
-      trigger = true;
-    }
-  }
-  if (!trigger) return false;
+  const uint64_t threshold = options_.durability.auto_checkpoint_wal_bytes;
+  if (threshold == 0 || wal_->size_bytes() < threshold) return false;
   // Best-effort: the mutation that tripped the threshold is already
   // durable in the WAL, so a failed fold loses nothing — the next
   // mutation retries.
@@ -645,7 +634,7 @@ StatusOr<std::unique_ptr<MetricDatabase>> MetricDatabase::Open(
   MSQ_RETURN_IF_ERROR(ExpectTag(meta, kDbMetaTag, "database metadata"));
   uint32_t version = 0;
   MSQ_RETURN_IF_ERROR(ReadU32(meta, &version));
-  if (version != kDbMetaVersionV1 && version != kDbMetaVersion) {
+  if (version != kDbMetaVersion) {
     return Status::NotSupported("unsupported database format version " +
                                 std::to_string(version));
   }
@@ -660,16 +649,9 @@ StatusOr<std::unique_ptr<MetricDatabase>> MetricDatabase::Open(
   MSQ_RETURN_IF_ERROR(ReadU64(meta, &page_size));
   MSQ_RETURN_IF_ERROR(ReadF64(meta, &buffer_fraction));
   MSQ_RETURN_IF_ERROR(ReadU32(meta, &dynamic_build));
-  if (version >= kDbMetaVersion) {
-    MSQ_RETURN_IF_ERROR(ReadU64(meta, &checkpoint_nonce));
-  }
+  MSQ_RETURN_IF_ERROR(ReadU64(meta, &checkpoint_nonce));
   if (meta.peek() != std::istringstream::traits_type::eof()) {
     return Status::Corruption("trailing bytes after database metadata");
-  }
-  if (version == kDbMetaVersionV1) {
-    // Pre-WAL file: synthesize a stable nonce so staleness detection
-    // still works against any log that might sit next to it.
-    checkpoint_nonce = LegacyNonceFor(*store);
   }
   if (backend_raw > static_cast<uint32_t>(BackendKind::kVaFile) ||
       dim == 0 || n == 0 || page_size == 0 || buffer_fraction < 0.0 ||
@@ -721,50 +703,10 @@ StatusOr<std::unique_ptr<MetricDatabase>> MetricDatabase::Open(
   auto db = std::unique_ptr<MetricDatabase>(
       new MetricDatabase(shared, metric, options));
 
-  std::string index_bytes;
-  MSQ_RETURN_IF_ERROR(store->GetObject("index", &index_bytes));
-  std::istringstream index(index_bytes);
-  std::unique_ptr<QueryBackend> base;
-  switch (kind) {
-    case BackendKind::kLinearScan: {
-      auto loaded = LinearScanBackend::LoadIndex(index, shared);
-      if (!loaded.ok()) return loaded.status();
-      base = std::move(loaded).value();
-      break;
-    }
-    case BackendKind::kXTree: {
-      XTreeOptions xtree_options = options.xtree;
-      xtree_options.page_size_bytes = options.page_size_bytes;
-      xtree_options.buffer_fraction = options.buffer_fraction;
-      auto loaded = XTreeBackend::LoadFrom(index, shared, metric,
-                                           xtree_options);
-      if (!loaded.ok()) return loaded.status();
-      base = std::move(loaded).value();
-      break;
-    }
-    case BackendKind::kMTree: {
-      MTreeOptions mtree_options = options.mtree;
-      mtree_options.page_size_bytes = options.page_size_bytes;
-      mtree_options.buffer_fraction = options.buffer_fraction;
-      auto loaded = MTreeBackend::LoadFrom(index, shared, metric,
-                                           mtree_options);
-      if (!loaded.ok()) return loaded.status();
-      base = std::move(loaded).value();
-      break;
-    }
-    case BackendKind::kVaFile: {
-      auto loaded = VaFileBackend::LoadIndex(index, shared, metric);
-      if (!loaded.ok()) return loaded.status();
-      base = std::move(loaded).value();
-      break;
-    }
-  }
-
-  // Restore (or rebuild) the pivot layer before the store handle moves
-  // into the layout. Stored pivots win: the reopened database filters with
-  // exactly the table the saved one did. Without a stored table, a
-  // runtime-enabled configuration builds a fresh one from the
-  // reconstructed dataset.
+  // Restore (or rebuild) the pivot layer. Stored pivots win: the reopened
+  // database filters with exactly the table the saved one did. Without a
+  // stored table, a runtime-enabled configuration builds a fresh one from
+  // the reconstructed dataset.
   std::shared_ptr<const PivotTable> pivot_table;
   if (store->HasObject("pivots")) {
     std::string pivot_bytes;
@@ -779,18 +721,9 @@ StatusOr<std::unique_ptr<MetricDatabase>> MetricDatabase::Open(
     pivot_table = std::move(built).value();
   }
 
-  // Route page reads through the file (LoadIndex/LoadFrom rebuilt the page
-  // map the store's directory was written against).
-  DataLayout* layout = base->MutableLayout();
-  if (layout == nullptr) {
-    return Status::Internal("reopened backend has no data layout");
-  }
-  MSQ_RETURN_IF_ERROR(layout->AttachStore(std::move(store)));
-  if (options.fault_injector != nullptr) {
-    base = std::make_unique<robust::FaultInjectingBackend>(
-        std::move(base), options.fault_injector);
-  }
-  db->WireEngine(std::move(base));
+  auto base = MakeBaseBackend(shared, metric, options, std::move(store));
+  if (!base.ok()) return base.status();
+  db->WireEngine(std::move(base).value());
   if (pivot_table != nullptr) db->ArmPivots(std::move(pivot_table));
 
   // --- crash recovery (DESIGN §14) --------------------------------------
@@ -802,20 +735,8 @@ StatusOr<std::unique_ptr<MetricDatabase>> MetricDatabase::Open(
   WalReplayResult replay;
   std::unique_ptr<Wal> wal;
   if (options.durability.wal_enabled) {
-    Wal::Options wal_options;
-    wal_options.fsync_policy = options.durability.wal_fsync_policy;
-    wal_options.fsync_every_n = options.durability.wal_fsync_every_n;
-    wal_options.metrics = options.multi.metrics;
-    if (options.fault_injector != nullptr) {
-      std::shared_ptr<robust::FaultInjector> inj = options.fault_injector;
-      wal_options.write_fault_hook =
-          [inj](uint64_t offset, size_t length, size_t* allowed) {
-            return inj->OnWrite(offset, length, allowed);
-          };
-      wal_options.fsync_fault_hook = [inj] { return inj->OnFsync(); };
-    }
     auto opened_wal = Wal::OpenForAppend(wal_path, checkpoint_nonce,
-                                         wal_options, &replay);
+                                         WalOptionsFor(options), &replay);
     if (!opened_wal.ok()) return opened_wal.status();
     wal = std::move(opened_wal).value();
   } else if (FileExists(wal_path)) {

@@ -10,9 +10,9 @@
 // run concurrent with query traffic (single writer at a time, queries
 // externally serialized among themselves), Compact folds the accumulated
 // overlay into a fresh base build, and Save persists the compacted state.
-// Each query call pins an epoch and runs against one immutable
-// LiveVersion snapshot; an unmutated database behaves bit-identically to
-// the pre-refactor build-once one.
+// Each query call runs against one immutable LiveVersion snapshot, which
+// its shared_ptr keeps alive until the call ends; an unmutated database
+// behaves bit-identically to the pre-refactor build-once one.
 
 #ifndef MSQ_CORE_DATABASE_H_
 #define MSQ_CORE_DATABASE_H_
@@ -103,13 +103,9 @@ struct DatabaseOptions {
     /// Records per fsync under WalFsyncPolicy::kEveryN.
     size_t wal_fsync_every_n = 32;
     /// Auto-checkpoint when the WAL grows past this many bytes (0 = off).
-    /// This is the background compaction policy of ROADMAP item 2: the
-    /// checkpoint runs on the writer's thread, synchronously, under the
-    /// writer mutex — queries in flight keep their pinned snapshots.
+    /// The checkpoint runs on the writer's thread, synchronously, under
+    /// the writer mutex — queries in flight keep their snapshots.
     uint64_t auto_checkpoint_wal_bytes = 0;
-    /// Auto-checkpoint when tombstones exceed this fraction of the total
-    /// object count (0 = off).
-    double auto_checkpoint_tombstone_ratio = 0.0;
   } durability;
 };
 
@@ -212,7 +208,7 @@ class MetricDatabase {
 
   /// Folds delta + tombstones into a fresh base build (same backend kind,
   /// options, pivot configuration and fault wiring), publishing it as the
-  /// next version. Queries in flight finish on their pinned snapshot.
+  /// next version. Queries in flight finish on their snapshot.
   /// No-op when nothing was mutated. On a durability-armed database (WAL
   /// attached, or wal_enabled and file-bound) this is a full Checkpoint():
   /// the renumbered base must land on disk before any post-compaction WAL
@@ -226,8 +222,6 @@ class MetricDatabase {
   size_t NumDeltaObjects() const { return CurrentVersion()->delta.size(); }
   size_t NumTombstones() const { return CurrentVersion()->tomb_count; }
   uint64_t MutationGeneration() const { return CurrentVersion()->generation; }
-  /// The reader-epoch machinery (introspection: limbo depth, reclaim lag).
-  EpochManager& epochs() { return overlay_->epochs(); }
 
   // --- durability introspection (DESIGN §14) ----------------------------
   /// What (if anything) the last Open(path) replayed from the WAL.
@@ -299,12 +293,11 @@ class MetricDatabase {
                  std::shared_ptr<const Metric> metric,
                  DatabaseOptions options);
 
-  /// One database-level read call: an epoch pin plus the snapshot every
-  /// backend access of the call resolves against. Construction also
-  /// re-wires the engine (buffer reset + pivot attach) when the version
-  /// generation moved since the engine was last wired.
+  /// One database-level read call: the snapshot every backend access of
+  /// the call resolves against, held until the call ends. Construction
+  /// also re-wires the engine (buffer reset + pivot attach) when the
+  /// version generation moved since the engine was last wired.
   struct ReadSession {
-    EpochManager::Guard guard;
     std::shared_ptr<const LiveVersion> version;
     MutableBackend* overlay = nullptr;
     ReadSession() = default;
@@ -317,7 +310,7 @@ class MetricDatabase {
   void BeginRead(ReadSession* session);
 
   /// Shared tail of both Open overloads: wraps the base backend (already
-  /// fault-wrapped by BuildBaseBackend) in the mutability layer, builds
+  /// fault-wrapped by MakeBaseBackend) in the mutability layer, builds
   /// the multi-query engine, and wires the observability sink.
   void WireEngine(std::unique_ptr<QueryBackend> base);
 
@@ -345,7 +338,7 @@ class MetricDatabase {
   /// durability is armed but the WAL is gone — mutations must not be
   /// silently undurable).
   Status LogMutationLocked(const WalRecord& record);
-  /// Fires CheckpointLocked when an auto-checkpoint threshold trips.
+  /// Fires CheckpointLocked when the auto-checkpoint threshold trips.
   /// Returns true when a fold was published (ids renumbered) — even if
   /// the checkpoint's save then failed — so Insert can return a post-fold
   /// id.
@@ -377,7 +370,6 @@ class MetricDatabase {
     obs::Counter* wal_replayed = nullptr;
     obs::Gauge* tombstones_live = nullptr;
     obs::Gauge* delta_objects = nullptr;
-    obs::Gauge* epoch_reclaim_lag = nullptr;
   };
   MutationInstruments mutation_metrics_;
   /// Updates the mutation gauges from `v` (no-op without a registry).

@@ -66,13 +66,15 @@ std::shared_ptr<const LiveVersion> MutableBackend::Current() const {
 }
 
 void MutableBackend::Publish(std::shared_ptr<const LiveVersion> next) {
+  // `old` is dropped after the lock is released: when the writer holds the
+  // last reference, the version's teardown (possibly a whole index) must
+  // not block readers loading Current().
   std::shared_ptr<const LiveVersion> old;
   {
     std::lock_guard<std::mutex> lock(version_mu_);
     old = std::move(current_);
     current_ = std::move(next);
   }
-  if (old != nullptr) epochs_.Retire(std::move(old));
 }
 
 void MutableBackend::AttachPivots(std::shared_ptr<const PivotTable> pivots) {

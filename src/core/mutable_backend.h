@@ -1,8 +1,8 @@
 // MutableBackend: the online-mutability layer over any QueryBackend.
 //
-// The paper's lifecycle — build, finalize, query — becomes epoch-based
-// versioned state (DESIGN.md §13). Every mutable database is a chain of
-// immutable LiveVersion snapshots:
+// The paper's lifecycle — build, finalize, query — becomes versioned
+// state (DESIGN.md §13). Every mutable database is a chain of immutable
+// LiveVersion snapshots:
 //
 //   base  — the last compacted build (backend + dataset + page layout),
 //           shared by every version derived from it;
@@ -15,13 +15,15 @@
 //   pivots — the PR-8 filter covering both tiers (appended rows, see
 //           PivotTable::WithAppendedRow).
 //
-// Readers pin an epoch (EpochManager) and traverse one snapshot for a
-// whole database-level call; the single writer derives the next snapshot
-// (chunked copy-on-write, so untouched state is shared), publishes it with
-// one pointer swap, and retires the old one into the epoch limbo list.
-// Compaction folds delta + tombstones into a fresh base through the
-// normal build path and publishes it the same way — queries in flight
-// keep their pinned snapshot, so writes and compaction never block reads.
+// Readers hold one snapshot by shared_ptr for a whole database-level call;
+// the single writer derives the next snapshot (chunked copy-on-write, so
+// untouched state is shared) and publishes it with one pointer swap. A
+// version lives exactly as long as a shared_ptr holds it: whoever drops
+// the last reference — the writer at Publish, or the last reader at the
+// end of its call — frees it. Compaction folds delta + tombstones into a
+// fresh base through the normal build path and publishes it the same way
+// — queries in flight keep their snapshot, so writes and compaction never
+// block reads.
 //
 // Transparency: with an empty overlay every call is a pure delegation to
 // the base backend — same pages, same counters, same streams — so an
@@ -46,7 +48,6 @@
 #include "common/status.h"
 #include "core/backend.h"
 #include "core/cow_vec.h"
-#include "core/epoch.h"
 #include "core/pivot_table.h"
 #include "dataset/dataset.h"
 
@@ -100,19 +101,21 @@ class MutableBackend : public QueryBackend {
 
   // --- version plumbing (writer + facade side) -------------------------
   std::shared_ptr<const LiveVersion> Current() const;
-  /// Swaps in `next` and retires the displaced version through the epoch
-  /// limbo list. Thread-safe; the caller (the database writer path)
-  /// serializes version *derivation*.
+  /// Swaps in `next` and drops the displaced version outside the lock.
+  /// Thread-safe; the caller (the database writer path) serializes
+  /// version *derivation*.
   void Publish(std::shared_ptr<const LiveVersion> next);
-  EpochManager& epochs() { return epochs_; }
 
   /// Installs the snapshot every backend call of the current
-  /// database-level query call resolves against (the facade pairs this
-  /// with an epoch pin). Query-side serialized, like all reads. Without a
-  /// session installed, each call falls back to Current() — safe for
-  /// serialized direct use, but without cross-call snapshot consistency.
+  /// database-level query call resolves against. Query-side serialized,
+  /// like all reads. Without a session installed, each call falls back to
+  /// Current() — safe for serialized direct use, but without cross-call
+  /// snapshot consistency; a session-less result stays valid until the
+  /// next call, so starting a session releases the version the last
+  /// session-less call held.
   void InstallActive(std::shared_ptr<const LiveVersion> v) {
     active_ = std::move(v);
+    fallback_ = nullptr;
   }
   void ClearActive() { active_ = nullptr; }
 
@@ -161,7 +164,6 @@ class MutableBackend : public QueryBackend {
 
   mutable std::mutex version_mu_;
   std::shared_ptr<const LiveVersion> current_;  // guarded by version_mu_
-  EpochManager epochs_;
 
   // Query-side state (externally serialized with all reads).
   std::shared_ptr<const LiveVersion> active_;

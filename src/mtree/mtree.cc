@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <queue>
 
@@ -77,20 +76,6 @@ double MTreeBackend::Dist(ObjectId a, ObjectId b) const {
 
 double MTreeBackend::DistToVec(const Vec& v, ObjectId b) const {
   return metric_->Distance(v, dataset_->object(b));
-}
-
-Status MTreeBackend::Insert(ObjectId id) {
-  if (id >= dataset_->size()) {
-    return Status::InvalidArgument("object id out of range");
-  }
-  if (layout_.has_store()) {
-    // Re-finalizing would reshuffle pages out from under the on-disk
-    // extents; the persistent store is read-only by design.
-    return Status::NotSupported("cannot insert into a persistent store");
-  }
-  InsertObject(id);
-  Finalize();
-  return Status::OK();
 }
 
 void MTreeBackend::InsertObject(ObjectId id) {
@@ -423,22 +408,6 @@ Status MTreeBackend::SaveIndex(std::ostream& out) {
   return Status::OK();
 }
 
-Status MTreeBackend::Save(const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  MSQ_RETURN_IF_ERROR(SaveIndex(out));
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
-}
-
-StatusOr<std::unique_ptr<MTreeBackend>> MTreeBackend::Load(
-    const std::string& path, std::shared_ptr<const Dataset> dataset,
-    std::shared_ptr<const Metric> metric, const MTreeOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  return LoadFrom(in, std::move(dataset), std::move(metric), options);
-}
-
 StatusOr<std::unique_ptr<MTreeBackend>> MTreeBackend::LoadFrom(
     std::istream& in, std::shared_ptr<const Dataset> dataset,
     std::shared_ptr<const Metric> metric, const MTreeOptions& options) {
@@ -547,10 +516,6 @@ void MTreeBackend::Finalize() {
       static_cast<double>(shape.num_leaves + shape.num_dir_nodes)));
   layout_ = DataLayout::FromGroups(std::move(groups), buffer_pages);
   layout_.MaterializeRows(dataset_->dim(), dataset_->objects());
-  layout_.SetMetricsSink(metrics_sink_);
-  // Inserts since the last attach may have reshaped subtrees; re-derive
-  // the hyper-rings so they bound the current membership.
-  if (pivots_ != nullptr && root_ != kInvalidMNode) BuildRings(root_);
 }
 
 void MTreeBackend::AttachPivots(std::shared_ptr<const PivotTable> pivots) {

@@ -81,23 +81,10 @@ class MTreeBackend : public QueryBackend {
       std::shared_ptr<const Dataset> dataset,
       std::shared_ptr<const Metric> metric, const MTreeOptions& options);
 
-  /// Inserts one dataset object and rebuilds the page layout, so the tree
-  /// is queryable on return.
-  Status Insert(ObjectId id);
-
-  /// Persists the index structure (routing objects, radii, parent
-  /// distances — not the objects themselves) to a binary file.
-  Status Save(const std::string& path);
-
-  /// Restores an index saved with Save. The dataset (and metric!) must be
-  /// the ones the index was built with; size and dimensionality are
-  /// verified, and CheckInvariants re-validates the covering radii under
-  /// the supplied metric.
-  static StatusOr<std::unique_ptr<MTreeBackend>> Load(
-      const std::string& path, std::shared_ptr<const Dataset> dataset,
-      std::shared_ptr<const Metric> metric, const MTreeOptions& options);
-
-  /// Stream counterpart of Load.
+  /// Restores an index written by SaveIndex. The dataset (and metric!)
+  /// must be the ones the index was built with; size and dimensionality
+  /// are verified, and CheckInvariants re-validates the covering radii
+  /// under the supplied metric.
   static StatusOr<std::unique_ptr<MTreeBackend>> LoadFrom(
       std::istream& in, std::shared_ptr<const Dataset> dataset,
       std::shared_ptr<const Metric> metric, const MTreeOptions& options);
@@ -112,8 +99,9 @@ class MTreeBackend : public QueryBackend {
     return layout_.TryReadBlock(page, stats, out);
   }
   DataLayout* MutableLayout() override { return &layout_; }
-  /// Serializes the index structure to a stream (the format behind Save;
-  /// also what the single-file page store embeds as its "index" object).
+  /// Serializes the index structure (routing objects, radii, parent
+  /// distances — not the objects themselves): the single-file page
+  /// store's "index" object.
   Status SaveIndex(std::ostream& out) override;
   size_t NumDataPages() const override { return layout_.num_pages(); }
   size_t NumObjects() const override { return dataset_->size(); }
@@ -124,10 +112,7 @@ class MTreeBackend : public QueryBackend {
   void NoteFailedRead(QueryStats* stats) override {
     layout_.NoteFailedRead(stats);
   }
-  /// Remembered so Insert's Finalize() (which rebuilds layout_ wholesale)
-  /// can re-attach the sink to the new buffer pool.
   void SetMetricsSink(const obs::MetricsSink* sink) override {
-    metrics_sink_ = sink;
     layout_.SetMetricsSink(sink);
   }
   /// Keeps the table and builds per-subtree hyper-rings from its rows (see
@@ -161,9 +146,8 @@ class MTreeBackend : public QueryBackend {
   std::pair<size_t, size_t> Promote(const std::vector<double>& pairwise,
                                     size_t count, ObjectId old_routing,
                                     const std::vector<ObjectId>& entry_objs);
-  /// Assigns leaf pages in DFS order and rebuilds the data layout (and the
-  /// hyper-rings, when pivots are attached). Every factory and Insert ends
-  /// with it; reads never call it.
+  /// Assigns leaf pages in DFS order and builds the data layout. Every
+  /// factory ends with it; reads never call it.
   void Finalize();
   /// Rebuilds every subtree's hyper-rings from pivots_ (post-order, no
   /// distance computations). No-op without an attached table.
@@ -185,7 +169,6 @@ class MTreeBackend : public QueryBackend {
 
   std::shared_ptr<const PivotTable> pivots_;
   DataLayout layout_;
-  const obs::MetricsSink* metrics_sink_ = nullptr;
   std::vector<MNodeIndex> page_to_node_;
 };
 

@@ -1,14 +1,8 @@
 #include "storage/page_file.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -58,144 +52,45 @@ uint64_t GetU64(const char* base, size_t off) {
   return v;
 }
 
-Status PwriteAll(int fd, const char* data, size_t len, uint64_t offset) {
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::pwrite(fd, data + done, len - done,
-                               static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("pwrite failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status PreadAll(int fd, char* data, size_t len, uint64_t offset) {
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::pread(fd, data + done, len - done,
-                              static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("pread failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    if (n == 0) return Status::Corruption("unexpected end of page file");
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 bool PlausibleBlockSize(uint32_t bs) {
   return bs >= PageFile::kMinBlockSize && bs <= PageFile::kMaxBlockSize;
 }
 
 }  // namespace
 
-PageFile::PageFile(int fd, std::string path, uint32_t block_size,
-                   bool writable)
-    : fd_(fd),
-      path_(std::move(path)),
-      block_size_(block_size),
-      writable_(writable) {}
-
-PageFile::~PageFile() {
-  if (fd_ >= 0 && ::close(fd_) != 0) {
-    // Destructors cannot report; anything that cares about close errors
-    // (everything on the durability path) calls Close() explicitly.
-    std::fprintf(stderr, "msq: warning: close(%s) failed: %s\n",
-                 path_.c_str(), std::strerror(errno));
-  }
-}
-
-Status PageFile::Close() {
-  if (fd_ < 0) return poisoned_;
-  const int rc = ::close(fd_);
-  fd_ = -1;
-  if (rc != 0) {
-    Status st = Status::IOError("close of " + path_ +
-                                " failed: " + std::strerror(errno));
-    if (poisoned_.ok()) poisoned_ = st;
-    return st;
-  }
-  return poisoned_;
-}
-
-Status PageFile::WriteAt(const char* data, size_t len, uint64_t offset) {
-  if (!poisoned_.ok()) return poisoned_;
-  if (write_fault_hook_) {
-    size_t allowed = len;
-    Status st = write_fault_hook_(offset, len, &allowed);
-    if (!st.ok()) {
-      // A torn write: the prefix the hook allowed reaches the disk, the
-      // rest never does — exactly what a power cut mid-pwrite leaves.
-      if (allowed > 0) {
-        (void)PwriteAll(fd_, data, std::min(allowed, len), offset);
-      }
-      poisoned_ = st;
-      return st;
-    }
-  }
-  Status st = PwriteAll(fd_, data, len, offset);
-  if (!st.ok()) poisoned_ = st;
-  return st;
-}
-
-Status PageFile::FsyncNow() {
-  if (!poisoned_.ok()) return poisoned_;
-  if (fsync_fault_hook_) {
-    Status st = fsync_fault_hook_();
-    if (!st.ok()) {
-      poisoned_ = st;
-      return st;
-    }
-  }
-  if (::fsync(fd_) != 0) {
-    poisoned_ = Status::IOError("fsync failed: " +
-                                std::string(std::strerror(errno)));
-    return poisoned_;
-  }
-  return Status::OK();
-}
+PageFile::PageFile(DurableFile file, uint32_t block_size, bool writable)
+    : file_(std::move(file)), block_size_(block_size), writable_(writable) {}
 
 StatusOr<std::unique_ptr<PageFile>> PageFile::Create(const std::string& path,
-                                                     uint32_t block_size) {
+                                                     uint32_t block_size,
+                                                     IoFaultHooks hooks) {
   if (!PlausibleBlockSize(block_size)) {
     return Status::InvalidArgument("block size out of range");
   }
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot create " + path + ": " +
-                           std::strerror(errno));
-  }
-  return std::unique_ptr<PageFile>(
-      new PageFile(fd, path, block_size, /*writable=*/true));
+  auto opened =
+      DurableFile::Open(path, O_RDWR | O_CREAT | O_TRUNC, std::move(hooks));
+  if (!opened.ok()) return opened.status();
+  return std::unique_ptr<PageFile>(new PageFile(
+      std::move(opened).value(), block_size, /*writable=*/true));
 }
 
 StatusOr<std::unique_ptr<PageFile>> PageFile::Open(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IOError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  auto file = std::unique_ptr<PageFile>(
-      new PageFile(fd, path, /*block_size=*/0, /*writable=*/false));
+  auto opened = DurableFile::Open(path, O_RDONLY);
+  if (!opened.ok()) return opened.status();
+  auto file = std::unique_ptr<PageFile>(new PageFile(
+      std::move(opened).value(), /*block_size=*/0, /*writable=*/false));
+  const DurableFile& f = file->file_;
 
   // Bootstrap: magic and block size live inside the first kMinBlockSize
   // bytes regardless of the actual block size.
   char head[kMinBlockSize];
   {
-    struct stat st {};
-    if (::fstat(fd, &st) != 0) {
-      return Status::IOError("fstat failed for " + path);
-    }
-    if (st.st_size < static_cast<off_t>(kMinBlockSize)) {
+    StatusOr<uint64_t> size = f.Size();
+    if (!size.ok()) return size.status();
+    if (*size < kMinBlockSize) {
       return Status::Corruption("file too small for a superblock");
     }
-    MSQ_RETURN_IF_ERROR(PreadAll(fd, head, sizeof(head), 0));
+    MSQ_RETURN_IF_ERROR(f.ReadAt(head, sizeof(head), 0));
     if (GetU32(head, kOffMagic) != kMagic) {
       return Status::Corruption("bad magic; not a page file");
     }
@@ -204,14 +99,14 @@ StatusOr<std::unique_ptr<PageFile>> PageFile::Open(const std::string& path) {
       return Status::Corruption("implausible block size in superblock");
     }
     file->block_size_ = bs;
-    if (st.st_size < static_cast<off_t>(bs)) {
+    if (*size < bs) {
       return Status::Corruption("file shorter than one block");
     }
     // Full superblock, CRC first: a flipped bit anywhere in block 0 —
     // version field included — must read as corruption, not as an
     // unsupported version.
     std::vector<char> sb(bs);
-    MSQ_RETURN_IF_ERROR(PreadAll(fd, sb.data(), bs, 0));
+    MSQ_RETURN_IF_ERROR(f.ReadAt(sb.data(), bs, 0));
     const uint32_t want_crc = GetU32(sb.data(), bs - 4);
     if (Crc32(sb.data(), bs - 4) != want_crc) {
       return Status::Corruption("superblock checksum mismatch");
@@ -224,7 +119,7 @@ StatusOr<std::unique_ptr<PageFile>> PageFile::Open(const std::string& path) {
         num_blocks > (uint64_t{1} << 40) / bs) {
       return Status::Corruption("implausible block count");
     }
-    if (st.st_size != static_cast<off_t>(num_blocks * bs)) {
+    if (*size != num_blocks * bs) {
       return Status::Corruption("file size disagrees with superblock");
     }
     file->next_block_ = num_blocks;
@@ -279,8 +174,8 @@ StatusOr<PageFileExtent> PageFile::AppendExtent(const void* data,
     std::memcpy(padded.data(), data, bytes);
     extent.crc = Crc32(padded.data(), padded.size());
     const uint64_t t0 = NowNanos();
-    MSQ_RETURN_IF_ERROR(WriteAt(padded.data(), padded.size(),
-                                extent.first_block * block_size_));
+    MSQ_RETURN_IF_ERROR(file_.WriteAt(padded.data(), padded.size(),
+                                      extent.first_block * block_size_));
     io_stats_.writes += 1;
     io_stats_.write_bytes += padded.size();
     io_stats_.write_nanos += NowNanos() - t0;
@@ -310,14 +205,13 @@ Status PageFile::PutObject(const std::string& name,
 
 Status PageFile::PreadBlocks(uint64_t first_block, uint32_t num_blocks,
                              std::string* out) const {
-  if (!poisoned_.ok()) return poisoned_;
   if (read_fault_hook_) {
     MSQ_RETURN_IF_ERROR(read_fault_hook_(first_block));
   }
   out->resize(static_cast<size_t>(num_blocks) * block_size_);
   const uint64_t t0 = NowNanos();
   MSQ_RETURN_IF_ERROR(
-      PreadAll(fd_, out->data(), out->size(), first_block * block_size_));
+      file_.ReadAt(out->data(), out->size(), first_block * block_size_));
   io_stats_.reads += 1;
   io_stats_.read_bytes += out->size();
   io_stats_.read_nanos += NowNanos() - t0;
@@ -398,13 +292,13 @@ Status PageFile::Sync() {
   // Data and table first, then the superblock that points at them: a crash
   // mid-save leaves a file whose superblock never validates, not one that
   // points at garbage.
-  MSQ_RETURN_IF_ERROR(FsyncNow());
+  MSQ_RETURN_IF_ERROR(file_.Sync());
   const uint64_t t0 = NowNanos();
-  MSQ_RETURN_IF_ERROR(WriteAt(sb.data(), sb.size(), 0));
+  MSQ_RETURN_IF_ERROR(file_.WriteAt(sb.data(), sb.size(), 0));
   io_stats_.writes += 1;
   io_stats_.write_bytes += sb.size();
   io_stats_.write_nanos += NowNanos() - t0;
-  MSQ_RETURN_IF_ERROR(FsyncNow());
+  MSQ_RETURN_IF_ERROR(file_.Sync());
   synced_ = true;
   return Status::OK();
 }

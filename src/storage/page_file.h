@@ -33,6 +33,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "storage/fs_util.h"
 
 namespace msq {
 
@@ -68,14 +69,16 @@ class PageFile {
   static constexpr uint32_t kMinBlockSize = 512;
   static constexpr uint32_t kMaxBlockSize = 16u << 20;
 
-  ~PageFile();
   PageFile(const PageFile&) = delete;
   PageFile& operator=(const PageFile&) = delete;
 
   /// Creates (truncating) a writable page file. Block 0 is reserved for
-  /// the superblock, which is only written by Sync().
+  /// the superblock, which is only written by Sync(). `hooks` see every
+  /// write and fsync; either failure poisons the file (fsyncgate, see
+  /// DurableFile).
   static StatusOr<std::unique_ptr<PageFile>> Create(
-      const std::string& path, uint32_t block_size = kDefaultBlockSize);
+      const std::string& path, uint32_t block_size = kDefaultBlockSize,
+      IoFaultHooks hooks = {});
 
   /// Opens an existing file read-only, verifying superblock magic and CRC,
   /// the exact file size, and the object table's CRC. Any mismatch is
@@ -103,11 +106,9 @@ class PageFile {
   Status Sync();
 
   /// Closes the file descriptor, reporting the close() result (a write
-  /// error surfacing at close would otherwise vanish — the bug this
-  /// replaces was a silent ::close in the destructor). Idempotent; after
-  /// a failed fsync it returns the sticky poison status. The destructor
-  /// still closes an unclosed file but only warns on stderr.
-  Status Close();
+  /// error surfacing at close would otherwise vanish). Idempotent; after
+  /// a failed write or fsync it returns that sticky error.
+  Status Close() { return file_.Close(); }
 
   uint32_t block_size() const { return block_size_; }
   /// Total blocks allocated, superblock included.
@@ -126,42 +127,20 @@ class PageFile {
     read_fault_hook_ = std::move(hook);
   }
 
-  /// Fault hooks for the write side (see robust::FaultInjector). The
-  /// write hook runs before every pwrite; on a non-OK return it may cap
-  /// `*allowed` to the bytes that "reached the disk" before the crash (a
-  /// short/torn write), and the op fails with its status. The fsync hook
-  /// runs before every fsync; a non-OK return fails the flush. Either
-  /// failure — injected or real — poisons the file (fsyncgate): every
-  /// later write, sync or close returns the original sticky error.
-  using WriteFaultHook =
-      std::function<Status(uint64_t offset, size_t length, size_t* allowed)>;
-  void SetWriteFaultHook(WriteFaultHook hook) {
-    write_fault_hook_ = std::move(hook);
-  }
-  void SetFsyncFaultHook(std::function<Status()> hook) {
-    fsync_fault_hook_ = std::move(hook);
-  }
-
  private:
-  PageFile(int fd, std::string path, uint32_t block_size, bool writable);
+  PageFile(DurableFile file, uint32_t block_size, bool writable);
 
   Status PreadBlocks(uint64_t first_block, uint32_t num_blocks,
                      std::string* out) const;
-  Status WriteAt(const char* data, size_t len, uint64_t offset);
-  Status FsyncNow();
 
-  int fd_ = -1;
-  std::string path_;
+  DurableFile file_;
   uint32_t block_size_ = 0;
   bool writable_ = false;
   bool synced_ = false;
   uint64_t next_block_ = 1;  // Block 0 is the superblock.
-  Status poisoned_ = Status::OK();  // first write/fsync error, sticky
   std::map<std::string, PageFileExtent> objects_;
   mutable PageFileIoStats io_stats_;
   std::function<Status(uint64_t)> read_fault_hook_;
-  WriteFaultHook write_fault_hook_;
-  std::function<Status()> fsync_fault_hook_;
 };
 
 }  // namespace msq

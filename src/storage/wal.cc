@@ -1,19 +1,12 @@
 #include "storage/wal.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
 #include "common/crc32.h"
 #include "common/serialize.h"
-#include "storage/fs_util.h"
 
 namespace msq {
 
@@ -27,21 +20,6 @@ constexpr uint8_t kTypeInsert =
     static_cast<uint8_t>(WalRecord::Type::kInsert);
 constexpr uint8_t kTypeDelete =
     static_cast<uint8_t>(WalRecord::Type::kDelete);
-
-Status PwriteAllRaw(int fd, const char* data, size_t len, uint64_t offset) {
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::pwrite(fd, data + done, len - done,
-                               static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("wal pwrite failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 /// Serializes one record's frame payload (type byte + body).
 Status SerializePayload(const WalRecord& record, std::string* out) {
@@ -73,15 +51,14 @@ Status SerializeHeaderPayload(uint64_t nonce, std::string* out) {
 }
 
 /// Wraps a payload in [crc][length][payload]; crc covers length+payload.
-void AppendFrame(const std::string& payload, std::string* out) {
+std::string Frame(const std::string& payload) {
   const uint32_t length = static_cast<uint32_t>(payload.size());
-  std::string framed;
-  framed.resize(kFrameOverhead + payload.size());
+  std::string framed(kFrameOverhead + payload.size(), '\0');
   std::memcpy(framed.data() + 4, &length, sizeof(length));
   std::memcpy(framed.data() + 8, payload.data(), payload.size());
   const uint32_t crc = Crc32(framed.data() + 4, 4 + payload.size());
   std::memcpy(framed.data(), &crc, sizeof(crc));
-  out->append(framed);
+  return framed;
 }
 
 /// Parses the frame at `offset`. Returns true and advances
@@ -147,26 +124,11 @@ StatusOr<uint64_t> DecodeHeader(const std::string& payload) {
   return nonce;
 }
 
-Status ReadWholeFile(int fd, std::string* out) {
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    return Status::IOError("fstat failed on wal");
-  }
-  out->resize(static_cast<size_t>(st.st_size));
-  size_t done = 0;
-  while (done < out->size()) {
-    const ssize_t n = ::pread(fd, out->data() + done, out->size() - done,
-                              static_cast<off_t>(done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("wal pread failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    if (n == 0) break;
-    done += static_cast<size_t>(n);
-  }
-  out->resize(done);
-  return Status::OK();
+Status ReadWholeFile(const DurableFile& file, std::string* out) {
+  StatusOr<uint64_t> size = file.Size();
+  if (!size.ok()) return size.status();
+  out->resize(static_cast<size_t>(*size));
+  return file.ReadAt(out->data(), out->size(), 0);
 }
 
 /// Shared frame walk: fills `out` from `bytes`, honoring the nonce rule.
@@ -244,12 +206,12 @@ WalRecord WalRecord::Delete(uint64_t id) {
   return r;
 }
 
-Wal::Wal(int fd, std::string path, const Options& options)
-    : fd_(fd), path_(std::move(path)), options_(options) {
-  write_fault_hook_ = options_.write_fault_hook;
-  fsync_fault_hook_ = options_.fsync_fault_hook;
-  if (options_.metrics != nullptr && options_.metrics->registry() != nullptr) {
-    obs::MetricsRegistry* reg = options_.metrics->registry();
+Wal::Wal(DurableFile file, const Options& options)
+    : file_(std::move(file)),
+      fsync_policy_(options.fsync_policy),
+      fsync_every_n_(options.fsync_every_n) {
+  if (options.metrics != nullptr && options.metrics->registry() != nullptr) {
+    obs::MetricsRegistry* reg = options.metrics->registry();
     appends_counter_ = reg->GetCounter("msq_wal_appends_total",
                                        "Records appended to the mutation WAL");
     bytes_gauge_ =
@@ -257,29 +219,16 @@ Wal::Wal(int fd, std::string path, const Options& options)
   }
 }
 
-Wal::~Wal() {
-  if (fd_ >= 0) {
-    if (::close(fd_) != 0) {
-      std::fprintf(stderr, "msq: warning: close(%s) failed: %s\n",
-                   path_.c_str(), std::strerror(errno));
-    }
-    fd_ = -1;
-  }
-}
-
 StatusOr<std::unique_ptr<Wal>> Wal::OpenForAppend(const std::string& path,
                                                   uint64_t checkpoint_nonce,
                                                   const Options& options,
                                                   WalReplayResult* replay) {
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) {
-    return Status::IOError("cannot open wal " + path + ": " +
-                           std::strerror(errno));
-  }
-  auto wal = std::unique_ptr<Wal>(new Wal(fd, path, options));
+  auto file = DurableFile::Open(path, O_RDWR | O_CREAT, options.fault_hooks);
+  if (!file.ok()) return file.status();
+  auto wal = std::unique_ptr<Wal>(new Wal(std::move(file).value(), options));
 
   std::string bytes;
-  MSQ_RETURN_IF_ERROR(ReadWholeFile(fd, &bytes));
+  MSQ_RETURN_IF_ERROR(ReadWholeFile(wal->file_, &bytes));
   MSQ_RETURN_IF_ERROR(ScanBytes(bytes, checkpoint_nonce, replay));
   wal->records_appended_ = replay->records.size();
 
@@ -287,23 +236,20 @@ StatusOr<std::unique_ptr<Wal>> Wal::OpenForAppend(const std::string& path,
   const bool needs_truncate =
       replay->valid_bytes < bytes.size() || replay->stale_discarded;
   if (needs_truncate) {
-    if (::ftruncate(fd, static_cast<off_t>(replay->valid_bytes)) != 0) {
-      return Status::IOError("wal truncate failed: " +
-                             std::string(std::strerror(errno)));
-    }
+    MSQ_RETURN_IF_ERROR(wal->file_.Truncate(replay->valid_bytes));
   }
   wal->size_bytes_ = replay->valid_bytes;
   if (needs_header) {
-    std::string payload, frame;
+    std::string payload;
     MSQ_RETURN_IF_ERROR(SerializeHeaderPayload(checkpoint_nonce, &payload));
-    AppendFrame(payload, &frame);
-    MSQ_RETURN_IF_ERROR(wal->WriteAt(frame.data(), frame.size(), 0));
+    const std::string frame = Frame(payload);
+    MSQ_RETURN_IF_ERROR(wal->file_.WriteAt(frame.data(), frame.size(), 0));
     wal->size_bytes_ = frame.size();
   }
   if (needs_header || needs_truncate) {
     // The (possibly fresh) header and the truncation must be durable
     // before the caller logs against this file.
-    MSQ_RETURN_IF_ERROR(wal->FsyncNow());
+    MSQ_RETURN_IF_ERROR(wal->Sync());
     MSQ_RETURN_IF_ERROR(FsyncParentDir(path));
   }
   if (wal->bytes_gauge_ != nullptr) {
@@ -314,112 +260,41 @@ StatusOr<std::unique_ptr<Wal>> Wal::OpenForAppend(const std::string& path,
 
 Status Wal::Scan(const std::string& path, uint64_t expected_nonce,
                  WalReplayResult* out) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IOError("cannot open wal " + path + ": " +
-                           std::strerror(errno));
-  }
+  auto file = DurableFile::Open(path, O_RDONLY);
+  if (!file.ok()) return file.status();
   std::string bytes;
-  Status st = ReadWholeFile(fd, &bytes);
-  ::close(fd);
-  MSQ_RETURN_IF_ERROR(st);
+  MSQ_RETURN_IF_ERROR(ReadWholeFile(*file, &bytes));
   return ScanBytes(bytes, expected_nonce, out);
 }
 
-Status Wal::WriteAt(const char* data, size_t len, uint64_t offset) {
-  if (!poisoned_.ok()) return poisoned_;
-  if (write_fault_hook_) {
-    size_t allowed = len;
-    Status st = write_fault_hook_(offset, len, &allowed);
-    if (!st.ok()) {
-      // Model the torn write: the first `allowed` bytes reached the disk
-      // before the "crash"; the rest never will.
-      if (allowed > 0) {
-        (void)PwriteAllRaw(fd_, data, std::min(allowed, len), offset);
-      }
-      poisoned_ = st;
-      return st;
-    }
-  }
-  Status st = PwriteAllRaw(fd_, data, len, offset);
-  if (!st.ok()) poisoned_ = st;
-  return st;
-}
-
-Status Wal::FsyncNow() {
-  if (!poisoned_.ok()) return poisoned_;
-  if (fsync_fault_hook_) {
-    Status st = fsync_fault_hook_();
-    if (!st.ok()) {
-      poisoned_ = st;
-      return st;
-    }
-  }
-  if (::fsync(fd_) != 0) {
-    poisoned_ = Status::IOError("wal fsync failed: " +
-                                std::string(std::strerror(errno)));
-    return poisoned_;
-  }
+Status Wal::Sync() {
+  MSQ_RETURN_IF_ERROR(file_.Sync());
   unsynced_records_ = 0;
   return Status::OK();
 }
 
-Status Wal::MaybePolicySync(size_t appended) {
-  unsynced_records_ += appended;
-  switch (options_.fsync_policy) {
+Status Wal::Append(const WalRecord& record) {
+  std::string payload;
+  MSQ_RETURN_IF_ERROR(SerializePayload(record, &payload));
+  const std::string frame = Frame(payload);
+  MSQ_RETURN_IF_ERROR(file_.WriteAt(frame.data(), frame.size(), size_bytes_));
+  size_bytes_ += frame.size();
+  ++records_appended_;
+  if (appends_counter_ != nullptr) appends_counter_->Increment();
+  if (bytes_gauge_ != nullptr) {
+    bytes_gauge_->Set(static_cast<int64_t>(size_bytes_));
+  }
+  ++unsynced_records_;
+  switch (fsync_policy_) {
     case WalFsyncPolicy::kEveryRecord:
-      return FsyncNow();
+      return Sync();
     case WalFsyncPolicy::kEveryN:
-      if (unsynced_records_ >= options_.fsync_every_n) return FsyncNow();
+      if (unsynced_records_ >= fsync_every_n_) return Sync();
       return Status::OK();
     case WalFsyncPolicy::kOnCheckpoint:
       return Status::OK();
   }
   return Status::OK();
-}
-
-Status Wal::AppendFrames(const std::vector<WalRecord>& records) {
-  if (!poisoned_.ok()) return poisoned_;
-  std::string frames;
-  for (const WalRecord& record : records) {
-    std::string payload;
-    MSQ_RETURN_IF_ERROR(SerializePayload(record, &payload));
-    AppendFrame(payload, &frames);
-  }
-  MSQ_RETURN_IF_ERROR(WriteAt(frames.data(), frames.size(), size_bytes_));
-  size_bytes_ += frames.size();
-  records_appended_ += records.size();
-  if (appends_counter_ != nullptr) {
-    appends_counter_->Add(records.size());
-  }
-  if (bytes_gauge_ != nullptr) {
-    bytes_gauge_->Set(static_cast<int64_t>(size_bytes_));
-  }
-  return MaybePolicySync(records.size());
-}
-
-Status Wal::Append(const WalRecord& record) {
-  return AppendFrames({record});
-}
-
-Status Wal::AppendBatch(const std::vector<WalRecord>& records) {
-  if (records.empty()) return Status::OK();
-  return AppendFrames(records);
-}
-
-Status Wal::Sync() { return FsyncNow(); }
-
-Status Wal::Close() {
-  if (fd_ < 0) return poisoned_;
-  const int rc = ::close(fd_);
-  fd_ = -1;
-  if (rc != 0) {
-    Status st = Status::IOError("wal close failed: " +
-                                std::string(std::strerror(errno)));
-    if (poisoned_.ok()) poisoned_ = st;
-    return st;
-  }
-  return poisoned_;
 }
 
 }  // namespace msq

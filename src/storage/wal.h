@@ -26,17 +26,15 @@
 // rolls back to the last durable record — exactly the contract fsync
 // policies weaker than every_record advertise.
 //
-// fsyncgate semantics: once any write or fsync on the log fails, the Wal
-// poisons itself — every later Append/Sync returns the original error.
-// The page cache's copy of the failed range is in an unknown state, so
-// pretending a later fsync "fixed" it would be a lie; recovery is a
-// checkpoint (which swaps in a fresh log) or a reopen.
+// fsyncgate semantics: the log's DurableFile (storage/fs_util.h) poisons
+// itself on the first failed write or fsync, so every later Append/Sync
+// returns the original error; recovery is a checkpoint (which swaps in a
+// fresh log) or a reopen.
 
 #ifndef MSQ_STORAGE_WAL_H_
 #define MSQ_STORAGE_WAL_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,10 +43,11 @@
 #include "dataset/dataset.h"
 #include "dist/vector.h"
 #include "obs/sink.h"
+#include "storage/fs_util.h"
 
 namespace msq {
 
-/// When Append makes the appended record(s) durable.
+/// When Append makes the appended record durable.
 enum class WalFsyncPolicy {
   kEveryRecord,   // fsync after every Append (durable on return)
   kEveryN,        // fsync once per fsync_every_n appended records
@@ -96,21 +95,16 @@ class Wal {
   /// always lands outside it.
   static constexpr uint32_t kMaxPayloadBytes = 16u << 20;
 
-  using WriteFaultHook =
-      std::function<Status(uint64_t offset, size_t length, size_t* allowed)>;
-
   struct Options {
     WalFsyncPolicy fsync_policy = WalFsyncPolicy::kEveryRecord;
     size_t fsync_every_n = 32;
     /// nullptr disables the msq_wal_* instruments.
     const obs::MetricsSink* metrics = obs::MetricsSink::Default();
-    /// Fault hooks, armed before OpenForAppend writes anything — the
-    /// header/truncate writes of a WAL swap are crash points too.
-    WriteFaultHook write_fault_hook;
-    std::function<Status()> fsync_fault_hook;
+    /// Armed before OpenForAppend writes anything: the header/truncate
+    /// writes of a WAL swap are crash points too.
+    IoFaultHooks fault_hooks;
   };
 
-  ~Wal();
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
@@ -131,51 +125,28 @@ class Wal {
   static Status Scan(const std::string& path, uint64_t expected_nonce,
                      WalReplayResult* out);
 
-  /// Appends one record and applies the fsync policy.
+  /// Appends one record as one positioned write and applies the fsync
+  /// policy.
   Status Append(const WalRecord& record);
-
-  /// Group commit: appends the batch as one positioned write, then
-  /// applies the fsync policy once — the records become durable (or are
-  /// lost) together.
-  Status AppendBatch(const std::vector<WalRecord>& records);
 
   /// Forces everything appended so far to disk regardless of policy.
   Status Sync();
 
   /// Closes the file descriptor, reporting close/poison errors.
-  Status Close();
+  Status Close() { return file_.Close(); }
 
   uint64_t size_bytes() const { return size_bytes_; }
   uint64_t records_appended() const { return records_appended_; }
-  const std::string& path() const { return path_; }
-
-  /// Fault hooks, mirroring PageFile's: the write hook may fail the
-  /// write and cap how many bytes land on disk (a torn write); the fsync
-  /// hook may fail the flush. Both failures poison the log.
-  void SetWriteFaultHook(WriteFaultHook hook) {
-    write_fault_hook_ = std::move(hook);
-  }
-  void SetFsyncFaultHook(std::function<Status()> hook) {
-    fsync_fault_hook_ = std::move(hook);
-  }
 
  private:
-  Wal(int fd, std::string path, const Options& options);
+  Wal(DurableFile file, const Options& options);
 
-  Status WriteAt(const char* data, size_t len, uint64_t offset);
-  Status FsyncNow();
-  Status MaybePolicySync(size_t appended);
-  Status AppendFrames(const std::vector<WalRecord>& records);
-
-  int fd_ = -1;
-  std::string path_;
-  Options options_;
-  Status poisoned_ = Status::OK();  // first write/fsync error, sticky
+  DurableFile file_;
+  const WalFsyncPolicy fsync_policy_;
+  const size_t fsync_every_n_;
   uint64_t size_bytes_ = 0;
   uint64_t records_appended_ = 0;
   size_t unsynced_records_ = 0;
-  WriteFaultHook write_fault_hook_;
-  std::function<Status()> fsync_fault_hook_;
 
   obs::Counter* appends_counter_ = nullptr;
   obs::Gauge* bytes_gauge_ = nullptr;

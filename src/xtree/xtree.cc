@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <queue>
 
@@ -123,20 +122,6 @@ size_t XTreeBackend::DirMinFillCount() const {
 // --------------------------------------------------------------------
 // Dynamic insertion
 // --------------------------------------------------------------------
-
-Status XTreeBackend::Insert(ObjectId id) {
-  if (id >= dataset_->size()) {
-    return Status::InvalidArgument("object id out of range");
-  }
-  if (layout_.has_store()) {
-    // Re-finalizing would reshuffle pages out from under the on-disk
-    // extents; the persistent store is read-only by design.
-    return Status::NotSupported("cannot insert into a persistent store");
-  }
-  InsertObject(id);
-  Finalize();
-  return Status::OK();
-}
 
 void XTreeBackend::InsertObject(ObjectId id) {
   const Vec& p = dataset_->object(id);
@@ -477,22 +462,6 @@ Status XTreeBackend::SaveIndex(std::ostream& out) {
   return Status::OK();
 }
 
-Status XTreeBackend::Save(const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  MSQ_RETURN_IF_ERROR(SaveIndex(out));
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
-}
-
-StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::Load(
-    const std::string& path, std::shared_ptr<const Dataset> dataset,
-    std::shared_ptr<const Metric> metric, const XTreeOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  return LoadFrom(in, std::move(dataset), std::move(metric), options);
-}
-
 StatusOr<std::unique_ptr<XTreeBackend>> XTreeBackend::LoadFrom(
     std::istream& in, std::shared_ptr<const Dataset> dataset,
     std::shared_ptr<const Metric> metric, const XTreeOptions& options) {
@@ -780,7 +749,6 @@ void XTreeBackend::Finalize() {
                 static_cast<double>(shape.total_blocks)));
   layout_ = DataLayout::FromGroups(std::move(groups), buffer_pages);
   layout_.MaterializeRows(dataset_->dim(), dataset_->objects());
-  layout_.SetMetricsSink(metrics_sink_);
 }
 
 namespace {

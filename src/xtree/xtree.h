@@ -76,21 +76,8 @@ class XTreeBackend : public QueryBackend {
       std::shared_ptr<const Dataset> dataset,
       std::shared_ptr<const Metric> metric, const XTreeOptions& options);
 
-  /// Inserts one dataset object (id must be valid for the dataset) and
-  /// rebuilds the page layout, so the tree is queryable on return.
-  Status Insert(ObjectId id);
-
-  /// Persists the index structure (not the objects — those live in the
-  /// dataset) to a binary file.
-  Status Save(const std::string& path);
-
-  /// Restores an index saved with Save. The dataset must be the one the
-  /// index was built over (size and dimensionality are verified).
-  static StatusOr<std::unique_ptr<XTreeBackend>> Load(
-      const std::string& path, std::shared_ptr<const Dataset> dataset,
-      std::shared_ptr<const Metric> metric, const XTreeOptions& options);
-
-  /// Stream counterpart of Load.
+  /// Restores an index written by SaveIndex. The dataset must be the one
+  /// the index was built over (size and dimensionality are verified).
   static StatusOr<std::unique_ptr<XTreeBackend>> LoadFrom(
       std::istream& in, std::shared_ptr<const Dataset> dataset,
       std::shared_ptr<const Metric> metric, const XTreeOptions& options);
@@ -105,8 +92,8 @@ class XTreeBackend : public QueryBackend {
     return layout_.TryReadBlock(page, stats, out);
   }
   DataLayout* MutableLayout() override { return &layout_; }
-  /// Serializes the index structure to a stream (the format behind Save;
-  /// also what the single-file page store embeds as its "index" object).
+  /// Serializes the index structure (not the objects — those live in the
+  /// dataset): the single-file page store's "index" object.
   Status SaveIndex(std::ostream& out) override;
   size_t NumDataPages() const override { return layout_.num_pages(); }
   size_t NumObjects() const override { return dataset_->size(); }
@@ -117,10 +104,7 @@ class XTreeBackend : public QueryBackend {
   void NoteFailedRead(QueryStats* stats) override {
     layout_.NoteFailedRead(stats);
   }
-  /// Remembered so Insert's Finalize() (which rebuilds layout_ wholesale)
-  /// can re-attach the sink to the new buffer pool.
   void SetMetricsSink(const obs::MetricsSink* sink) override {
-    metrics_sink_ = sink;
     layout_.SetMetricsSink(sink);
   }
 
@@ -160,8 +144,8 @@ class XTreeBackend : public QueryBackend {
   std::vector<XNodeIndex> BulkLeaves(std::vector<ObjectId>* ids);
   std::vector<XNodeIndex> BulkGroup(std::vector<XNodeIndex>* children);
 
-  /// Assigns leaf pages in DFS order and rebuilds the data layout. Every
-  /// factory and Insert ends with it; reads never call it.
+  /// Assigns leaf pages in DFS order and builds the data layout. Every
+  /// factory ends with it; reads never call it.
   void Finalize();
 
   std::shared_ptr<const Dataset> dataset_;
@@ -174,7 +158,6 @@ class XTreeBackend : public QueryBackend {
   size_t num_objects_indexed_ = 0;
 
   DataLayout layout_;
-  const obs::MetricsSink* metrics_sink_ = nullptr;
   std::vector<XNodeIndex> page_to_node_;
 };
 

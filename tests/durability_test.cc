@@ -3,7 +3,7 @@
 // fsyncgate poisoning on both Wal and PageFile, atomic Save (a crash at
 // any write offset of an overwrite leaves the old file or the new one,
 // never a corrupt one), WAL recovery with exact counter accounting, the
-// auto-checkpoint thresholds, and the acceptance criterion itself: a
+// auto-checkpoint threshold, and the acceptance criterion itself: a
 // kill-at-every-write-offset matrix across all four backends, pivots off
 // and on, over three phases (save overwrite, WAL appends, checkpoint) —
 // every reopened database must answer bit-identically to a valid quiesced
@@ -69,9 +69,8 @@ TEST(DurabilityWalTest, RecordsRoundTripThroughScan) {
   ASSERT_TRUE((*wal)->Append(WalRecord::Insert({1.0f, 2.0f, 3.0f}, 7)).ok());
   ASSERT_TRUE((*wal)->Append(WalRecord::Delete(19)).ok());
   ASSERT_TRUE(
-      (*wal)->AppendBatch({WalRecord::Insert({4.0f, 5.0f, 6.0f}, kNoLabel),
-                           WalRecord::Delete(3)})
-          .ok());
+      (*wal)->Append(WalRecord::Insert({4.0f, 5.0f, 6.0f}, kNoLabel)).ok());
+  ASSERT_TRUE((*wal)->Append(WalRecord::Delete(3)).ok());
   EXPECT_EQ((*wal)->records_appended(), 4u);
   ASSERT_TRUE((*wal)->Close().ok());
 
@@ -169,18 +168,20 @@ TEST(DurabilityWalTest, WriteOrFsyncFailurePoisonsTheLog) {
   const std::string path = TempPath("durab_wal_poison.wal");
   std::filesystem::remove(path);
   WalReplayResult replay;
-  auto wal = Wal::OpenForAppend(path, 9, Wal::Options{}, &replay);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_TRUE((*wal)->Append(WalRecord::Delete(1)).ok());
-  // One injected fsync failure...
-  int fail_budget = 1;
-  (*wal)->SetFsyncFaultHook([&]() -> Status {
+  int fail_budget = 0;
+  Wal::Options options;
+  options.fault_hooks.fsync = [&]() -> Status {
     if (fail_budget > 0) {
       --fail_budget;
       return Status::IOError("injected fsync failure");
     }
     return Status::OK();
-  });
+  };
+  auto wal = Wal::OpenForAppend(path, 9, options, &replay);
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE((*wal)->Append(WalRecord::Delete(1)).ok());
+  // One injected fsync failure...
+  fail_budget = 1;
   Status first = (*wal)->Append(WalRecord::Delete(2));
   ASSERT_FALSE(first.ok());
   // ...poisons every later operation with the original error, even though
@@ -222,14 +223,19 @@ TEST(DurabilityPageFileTest, CloseReturnsStatusAndIsIdempotent) {
 TEST(DurabilityPageFileTest, FsyncFailurePoisonsTheFile) {
   const std::string path = TempPath("durab_pf_poison.msq");
   std::filesystem::remove(path);
-  auto pf = PageFile::Create(path);
+  bool fail_fsync = false;
+  IoFaultHooks hooks;
+  hooks.fsync = [&]() {
+    return fail_fsync ? Status::IOError("injected fsync failure")
+                      : Status::OK();
+  };
+  auto pf = PageFile::Create(path, PageFile::kDefaultBlockSize, hooks);
   ASSERT_TRUE(pf.ok());
   ASSERT_TRUE((*pf)->PutObject("blob", "payload").ok());
-  (*pf)->SetFsyncFaultHook(
-      []() { return Status::IOError("injected fsync failure"); });
+  fail_fsync = true;
   Status sync = (*pf)->Sync();
   ASSERT_FALSE(sync.ok());
-  (*pf)->SetFsyncFaultHook(nullptr);
+  fail_fsync = false;
   // Sticky: later writes and the close itself report the original error.
   EXPECT_FALSE((*pf)->PutObject("more", "x").ok());
   Status close = (*pf)->Close();
@@ -561,27 +567,6 @@ TEST(DurabilityAutoCheckpointTest, WalByteThresholdFoldsEveryMutation) {
   ASSERT_TRUE(reopened.ok());
   EXPECT_FALSE((*reopened)->recovery().recovered);
   EXPECT_EQ((*reopened)->NumLiveObjects(), base.size() + adds.size());
-  RemoveDbFiles(path);
-}
-
-TEST(DurabilityAutoCheckpointTest, TombstoneRatioThresholdTriggers) {
-  const Dataset base = MakeUniformDataset(20, 4, 61);
-  const std::string path = TempPath("durab_auto_tombs.msq");
-  RemoveDbFiles(path);
-  DatabaseOptions options = WalOptions();
-  options.durability.auto_checkpoint_tombstone_ratio = 0.25;
-  auto db = BuildDb(base, options);
-  ASSERT_NE(db, nullptr);
-  ASSERT_TRUE(db->Save(path).ok());
-  // Four deletes: 4/20 = 0.2, below the threshold — tombstones accumulate.
-  for (ObjectId id = 0; id < 4; ++id) {
-    ASSERT_TRUE(db->Delete(id).ok());
-  }
-  EXPECT_EQ(db->NumTombstones(), 4u);
-  // The fifth crosses 0.25 and the checkpoint folds them all.
-  ASSERT_TRUE(db->Delete(4).ok());
-  EXPECT_EQ(db->NumTombstones(), 0u);
-  EXPECT_EQ(db->NumLiveObjects(), base.size() - 5);
   RemoveDbFiles(path);
 }
 

@@ -1,12 +1,13 @@
-// Tests for the online-mutability layer (DESIGN §13): epoch-based
-// reclamation, the chunked copy-on-write container, two-tier pivot rows,
-// insert/delete visibility against every backend, quiesced equality (a
+// Tests for the online-mutability layer (DESIGN §13): version lifetime by
+// reference count, the chunked copy-on-write container, two-tier pivot
+// rows, insert/delete visibility against every backend, quiesced equality (a
 // mutated-then-compacted database answers bit-identically to a fresh build
 // of the same final object set, pivots on and off), persistence of the
 // mutated state through the page store, and a mixed reader/writer stress
 // run (the TSan CI target).
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -19,7 +20,6 @@
 #include "common/rng.h"
 #include "core/cow_vec.h"
 #include "core/database.h"
-#include "core/epoch.h"
 #include "core/pivot_table.h"
 #include "dataset/generators.h"
 #include "dist/builtin_metrics.h"
@@ -73,58 +73,114 @@ AnswerSet OverlayOracle(const LiveVersion& v, const Metric& metric,
   return all;
 }
 
-// --- EpochManager --------------------------------------------------------
+// --- version lifetime ----------------------------------------------------
 
-TEST(MutateEpochTest, ReclaimWaitsForActiveReader) {
-  EpochManager epochs;
-  auto version = std::make_shared<int>(7);
-  std::weak_ptr<int> alive = version;
+/// Euclidean distance whose first computation after Arm() blocks until
+/// Release(), holding a reader inside its query call while the test
+/// thread writes.
+class GatedEuclidean : public EuclideanMetric {
+ public:
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void WaitUntilBlocked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return blocked_; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+  double Distance(const Vec& a, const Vec& b) const override {
+    Gate();
+    return EuclideanMetric::Distance(a, b);
+  }
+  void BatchDistance(const Vec& q, const VecBlock& block,
+                     std::span<double> out) const override {
+    Gate();
+    EuclideanMetric::BatchDistance(q, block, out);
+  }
 
-  EpochManager::Guard reader = epochs.Pin();
-  epochs.Retire(std::move(version));
-  // The reader pinned before the retirement, so the retired object must
-  // survive every reclamation attempt while the pin is held.
-  epochs.Reclaim();
-  EXPECT_FALSE(alive.expired());
-  EXPECT_EQ(epochs.limbo_size(), 1u);
-  EXPECT_GE(epochs.ReclaimLagEpochs(), 1u);
+ private:
+  void Gate() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!armed_) return;
+    armed_ = false;
+    blocked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
 
-  reader.Release();
-  epochs.Reclaim();
-  EXPECT_TRUE(alive.expired());
-  EXPECT_EQ(epochs.limbo_size(), 0u);
-  EXPECT_EQ(epochs.ReclaimLagEpochs(), 0u);
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool armed_ = false;
+  mutable bool blocked_ = false;
+  mutable bool released_ = false;
+};
+
+// A version replaced while a reader runs on it stays alive for that
+// reader, and is freed when the reader's call ends: nothing else (no
+// cache, no pin list) may keep it, or its base, past its last reader.
+TEST(MutateVersionTest, ReplacedVersionLivesUntilItsLastReaderFinishes) {
+  const Dataset base = MakeUniformDataset(200, 4, 31);
+  auto metric = std::make_shared<GatedEuclidean>();
+  auto opened = MetricDatabase::Open(base, metric, DatabaseOptions());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<MetricDatabase> db = std::move(opened).value();
+  const std::weak_ptr<const LiveVersion> version0 = db->CurrentVersion();
+  const std::weak_ptr<QueryBackend> base0 = db->CurrentVersion()->base;
+
+  metric->Arm();
+  StatusOr<AnswerSet> answers = Status::Internal("query did not run");
+  std::thread reader([&] {
+    answers = db->SimilarityQuery(db->MakeKnnQuery(base.object(0), 5));
+  });
+  metric->WaitUntilBlocked();
+  const Status deleted = db->Delete(1);
+  const Status compacted = db->Compact();
+  const bool alive_while_read = !version0.expired() && !base0.expired();
+  metric->Release();
+  reader.join();
+
+  ASSERT_TRUE(deleted.ok()) << deleted.ToString();
+  ASSERT_TRUE(compacted.ok()) << compacted.ToString();
+  EXPECT_TRUE(alive_while_read);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(answers->size(), 5u);
+  EXPECT_TRUE(version0.expired());
+  EXPECT_TRUE(base0.expired());
 }
 
-TEST(MutateEpochTest, RetireWithoutReadersReclaimsImmediately) {
-  EpochManager epochs;
-  auto version = std::make_shared<int>(1);
-  std::weak_ptr<int> alive = version;
-  // Retire advances the epoch and reclaims inline; with no pins the limbo
-  // entry must not outlive the call.
-  epochs.Retire(std::move(version));
-  EXPECT_TRUE(alive.expired());
-  EXPECT_EQ(epochs.limbo_size(), 0u);
-}
+// A checkpoint replaces the base a reopened database read from its store;
+// the replaced base (and the store file it holds open) must go once the
+// next query starts, not outlive every later checkpoint.
+TEST(MutateVersionTest, CheckpointReleasesTheReopenedBase) {
+  const Dataset base = MakeUniformDataset(120, 4, 33);
+  const std::string path = TempPath("mutate_version_reopen.msq");
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".wal");
+  {
+    auto db = OpenDb(base, BackendKind::kLinearScan);
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(db->Save(path).ok());
+  }
+  DatabaseOptions options;
+  options.durability.wal_enabled = true;
+  auto reopened = MetricDatabase::Open(path, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  MetricDatabase& db = **reopened;
+  const std::weak_ptr<QueryBackend> reopened_base = db.CurrentVersion()->base;
 
-TEST(MutateEpochTest, LaterPinDoesNotBlockOlderRetirement) {
-  EpochManager epochs;
-  auto old_version = std::make_shared<int>(1);
-  std::weak_ptr<int> alive = old_version;
-  epochs.Retire(std::move(old_version));  // reclaimed inline (no readers)
-  ASSERT_TRUE(alive.expired());
-
-  // A reader pinning *now* can only observe post-retirement state; a fresh
-  // retirement parks until the pin drops, but the pin cannot resurrect
-  // eligibility rules for entries retired at even older epochs.
-  EpochManager::Guard reader = epochs.Pin();
-  auto next = std::make_shared<int>(2);
-  std::weak_ptr<int> next_alive = next;
-  epochs.Retire(std::move(next));
-  EXPECT_FALSE(next_alive.expired());
-  reader.Release();
-  epochs.Reclaim();
-  EXPECT_TRUE(next_alive.expired());
+  ASSERT_TRUE(db.Insert(base.object(3)).ok());
+  ASSERT_TRUE(db.Checkpoint().ok());
+  ASSERT_TRUE(db.SimilarityQuery(db.MakeKnnQuery(base.object(0), 5)).ok());
+  EXPECT_TRUE(reopened_base.expired());
+  std::filesystem::remove(path);
+  std::filesystem::remove(path + ".wal");
 }
 
 // --- CowChunkedVec -------------------------------------------------------
@@ -352,8 +408,8 @@ TEST(MutateTest, MutateSaveReopenMutateSaveAgain) {
 
 // Four writer threads mutate while four query threads read. The query
 // stream is serialized on one mutex (the engine's documented contract);
-// the writers run free — epochs and version publication are what TSan
-// exercises here. Afterwards the database is compacted and checked
+// the writers run free — version publication is what TSan exercises
+// here. Afterwards the database is compacted and checked
 // exhaustively against its own final object set.
 TEST(MutateStressTest, ConcurrentWritersAndQueriesAllBackends) {
   constexpr int kWriters = 4;

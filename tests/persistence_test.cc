@@ -1,11 +1,11 @@
 // Tests of index persistence: X-tree and M-tree structures round-trip
-// through their binary files, loaded indexes answer queries identically,
-// and corrupted or mismatched files are rejected.
+// through SaveIndex/LoadFrom (the page store's "index" object), loaded
+// indexes answer queries identically, and corrupted or mismatched index
+// bytes are rejected.
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -22,12 +22,31 @@
 namespace msq {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 std::shared_ptr<const Dataset> SharedDataset(Dataset ds) {
   return std::make_shared<Dataset>(std::move(ds));
+}
+
+/// The bytes SaveIndex writes for `backend`.
+std::string IndexBytes(QueryBackend& backend) {
+  std::ostringstream out;
+  EXPECT_TRUE(backend.SaveIndex(out).ok());
+  return out.str();
+}
+
+StatusOr<std::unique_ptr<XTreeBackend>> LoadXTree(
+    const std::string& bytes, std::shared_ptr<const Dataset> dataset,
+    std::shared_ptr<const Metric> metric, const XTreeOptions& options) {
+  std::istringstream in(bytes);
+  return XTreeBackend::LoadFrom(in, std::move(dataset), std::move(metric),
+                                options);
+}
+
+StatusOr<std::unique_ptr<MTreeBackend>> LoadMTree(
+    const std::string& bytes, std::shared_ptr<const Dataset> dataset,
+    std::shared_ptr<const Metric> metric, const MTreeOptions& options) {
+  std::istringstream in(bytes);
+  return MTreeBackend::LoadFrom(in, std::move(dataset), std::move(metric),
+                                options);
 }
 
 TEST(XTreePersistenceTest, RoundTripPreservesStructureAndAnswers) {
@@ -39,9 +58,7 @@ TEST(XTreePersistenceTest, RoundTripPreservesStructureAndAnswers) {
   auto original = XTreeBackend::BulkLoad(dataset, metric, options);
   ASSERT_TRUE(original.ok());
 
-  const std::string path = TempPath("msq_xtree_roundtrip.idx");
-  ASSERT_TRUE((*original)->Save(path).ok());
-  auto loaded = XTreeBackend::Load(path, dataset, metric, options);
+  auto loaded = LoadXTree(IndexBytes(**original), dataset, metric, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   const XTreeShape a = (*original)->Shape();
@@ -64,7 +81,6 @@ TEST(XTreePersistenceTest, RoundTripPreservesStructureAndAnswers) {
     ASSERT_TRUE(got_b.ok());
     EXPECT_TRUE(testing::SameAnswers(*got_a, *got_b)) << trial;
   }
-  std::remove(path.c_str());
 }
 
 TEST(XTreePersistenceTest, DynamicTreeWithSupernodesRoundTrips) {
@@ -76,13 +92,10 @@ TEST(XTreePersistenceTest, DynamicTreeWithSupernodesRoundTrips) {
   auto original = XTreeBackend::BuildByInsertion(dataset, metric, options);
   ASSERT_TRUE(original.ok());
   ASSERT_GT((*original)->Shape().num_supernodes, 0u);
-  const std::string path = TempPath("msq_xtree_super.idx");
-  ASSERT_TRUE((*original)->Save(path).ok());
-  auto loaded = XTreeBackend::Load(path, dataset, metric, options);
+  auto loaded = LoadXTree(IndexBytes(**original), dataset, metric, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->Shape().num_supernodes,
             (*original)->Shape().num_supernodes);
-  std::remove(path.c_str());
 }
 
 TEST(XTreePersistenceTest, RejectsWrongDataset) {
@@ -90,41 +103,23 @@ TEST(XTreePersistenceTest, RejectsWrongDataset) {
   auto metric = std::make_shared<EuclideanMetric>();
   auto tree = XTreeBackend::BulkLoad(dataset, metric, {});
   ASSERT_TRUE(tree.ok());
-  const std::string path = TempPath("msq_xtree_wrongds.idx");
-  ASSERT_TRUE((*tree)->Save(path).ok());
+  const std::string bytes = IndexBytes(**tree);
   // Different size.
   auto smaller = SharedDataset(MakeUniformDataset(400, 4, 1007));
-  EXPECT_TRUE(XTreeBackend::Load(path, smaller, metric, {})
-                  .status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      LoadXTree(bytes, smaller, metric, {}).status().IsInvalidArgument());
   // Different dimensionality.
   auto other_dim = SharedDataset(MakeUniformDataset(500, 5, 1007));
-  EXPECT_TRUE(XTreeBackend::Load(path, other_dim, metric, {})
-                  .status()
-                  .IsInvalidArgument());
-  std::remove(path.c_str());
+  EXPECT_TRUE(
+      LoadXTree(bytes, other_dim, metric, {}).status().IsInvalidArgument());
 }
 
 TEST(XTreePersistenceTest, RejectsGarbageFile) {
-  const std::string path = TempPath("msq_xtree_garbage.idx");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "certainly not an index";
-  }
   auto dataset = SharedDataset(MakeUniformDataset(100, 4, 1009));
   auto metric = std::make_shared<EuclideanMetric>();
-  EXPECT_TRUE(
-      XTreeBackend::Load(path, dataset, metric, {}).status().IsCorruption());
-  std::remove(path.c_str());
-}
-
-TEST(XTreePersistenceTest, MissingFileIsIOError) {
-  auto dataset = SharedDataset(MakeUniformDataset(100, 4, 1011));
-  auto metric = std::make_shared<EuclideanMetric>();
-  EXPECT_TRUE(XTreeBackend::Load("/nonexistent/index.idx", dataset, metric,
-                                 {})
+  EXPECT_TRUE(LoadXTree("certainly not an index", dataset, metric, {})
                   .status()
-                  .IsIOError());
+                  .IsCorruption());
 }
 
 TEST(MTreePersistenceTest, RoundTripPreservesAnswers) {
@@ -135,9 +130,7 @@ TEST(MTreePersistenceTest, RoundTripPreservesAnswers) {
   options.page_size_bytes = 1024;
   auto original = MTreeBackend::Build(dataset, metric, options);
   ASSERT_TRUE(original.ok());
-  const std::string path = TempPath("msq_mtree_roundtrip.idx");
-  ASSERT_TRUE((*original)->Save(path).ok());
-  auto loaded = MTreeBackend::Load(path, dataset, metric, options);
+  auto loaded = LoadMTree(IndexBytes(**original), dataset, metric, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE((*loaded)->CheckInvariants().ok());
 
@@ -156,7 +149,6 @@ TEST(MTreePersistenceTest, RoundTripPreservesAnswers) {
     ASSERT_TRUE(got_b.ok());
     EXPECT_TRUE(testing::SameAnswers(*got_a, *got_b));
   }
-  std::remove(path.c_str());
 }
 
 TEST(MTreePersistenceTest, LoadingWithWrongMetricFailsInvariants) {
@@ -166,15 +158,12 @@ TEST(MTreePersistenceTest, LoadingWithWrongMetricFailsInvariants) {
   options.page_size_bytes = 512;  // force a real (multi-level) structure
   auto tree = MTreeBackend::Build(dataset, euclid, options);
   ASSERT_TRUE(tree.ok());
-  const std::string path = TempPath("msq_mtree_wrongmetric.idx");
-  ASSERT_TRUE((*tree)->Save(path).ok());
   // Manhattan distances differ, so the stored radii/parent distances no
   // longer verify — the load must fail loudly instead of mis-answering.
   auto manhattan = std::make_shared<ManhattanMetric>();
-  EXPECT_TRUE(MTreeBackend::Load(path, dataset, manhattan, options)
+  EXPECT_TRUE(LoadMTree(IndexBytes(**tree), dataset, manhattan, options)
                   .status()
                   .IsCorruption());
-  std::remove(path.c_str());
 }
 
 TEST(MTreePersistenceTest, EditDistanceIndexRoundTrips) {
@@ -184,9 +173,7 @@ TEST(MTreePersistenceTest, EditDistanceIndexRoundTrips) {
   options.page_size_bytes = 1024;
   auto original = MTreeBackend::Build(dataset, metric, options);
   ASSERT_TRUE(original.ok());
-  const std::string path = TempPath("msq_mtree_edit.idx");
-  ASSERT_TRUE((*original)->Save(path).ok());
-  auto loaded = MTreeBackend::Load(path, dataset, metric, options);
+  auto loaded = LoadMTree(IndexBytes(**original), dataset, metric, options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   CountingMetric counted(metric);
   Query q{1, dataset->object(7), QueryType::Knn(4)};
@@ -195,7 +182,6 @@ TEST(MTreePersistenceTest, EditDistanceIndexRoundTrips) {
   ASSERT_TRUE(got_a.ok());
   ASSERT_TRUE(got_b.ok());
   EXPECT_TRUE(testing::SameAnswers(*got_a, *got_b));
-  std::remove(path.c_str());
 }
 
 TEST(MTreePersistenceTest, RejectsTruncatedFile) {
@@ -203,13 +189,9 @@ TEST(MTreePersistenceTest, RejectsTruncatedFile) {
   auto metric = std::make_shared<EuclideanMetric>();
   auto tree = MTreeBackend::Build(dataset, metric, {});
   ASSERT_TRUE(tree.ok());
-  const std::string path = TempPath("msq_mtree_trunc.idx");
-  ASSERT_TRUE((*tree)->Save(path).ok());
-  // Truncate to half.
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size / 2);
-  EXPECT_FALSE(MTreeBackend::Load(path, dataset, metric, {}).ok());
-  std::remove(path.c_str());
+  std::string bytes = IndexBytes(**tree);
+  bytes.resize(bytes.size() / 2);  // truncate to half
+  EXPECT_FALSE(LoadMTree(bytes, dataset, metric, {}).ok());
 }
 
 }  // namespace
